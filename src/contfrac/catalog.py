@@ -41,11 +41,14 @@ from functools import lru_cache
 from typing import Callable, Mapping, Optional, Tuple
 
 from .core import (
+    K,
     ContinuedFraction,
     ContinuedFractionError,
     EvalStatus,
     Rational,
+    TermSpec,
     as_fraction,
+    check_tolerance,
     eval_float,
 )
 from .quadrature import (
@@ -95,11 +98,6 @@ class IdentityFamily:
     notes: str = ""
 
 
-def _f(x: Fraction):
-    """Keep integral Fractions as plain ints: faster exact term streams."""
-    return int(x) if x.denominator == 1 else x
-
-
 def _no_constraint(_: Params) -> Optional[str]:
     return None
 
@@ -116,32 +114,8 @@ def _f1_check(P: Params) -> Optional[str]:
     return None
 
 
-def _f1_build(P: Params) -> ContinuedFraction:
-    m, n = _f(P["m"]), _f(P["n"])
-
-    def rule(k):
-        if k == 1:
-            return (1, n)
-        return (((k - 2) * m + n) ** 2, m)
-
-    return ContinuedFraction.from_rule(0, rule)
-
-
 def _f1_refs(P: Params, target: float) -> Tuple[float, ...]:
     return (reciprocal_kernel_integral(float(P["n"]), float(P["m"]), target),)
-
-
-def _f1frac_build(P: Params) -> ContinuedFraction:
-    m, n = _f(P["m"]), _f(P["n"])
-
-    def rule(k):
-        if k == 1:
-            return (1, 1)
-        if k == 2:
-            return (n, m)
-        return (((k - 2) * m + n) ** 2, m)
-
-    return ContinuedFraction.from_rule(0, rule)
 
 
 def _f1frac_refs(P: Params, target: float) -> Tuple[float, ...]:
@@ -158,21 +132,6 @@ def _f2_check(P: Params) -> Optional[str]:
     return None
 
 
-def _f2_build(P: Params) -> ContinuedFraction:
-    m, n, mu, nu = (_f(P[k]) for k in ("m", "n", "mu", "nu"))
-
-    def rule(k):
-        if k == 1:
-            return (1, n)
-        if k == 2:
-            return (mu * n * n, nu * m + (nu - mu) * n)
-        j = k - 2
-        return (j * nu * (mu + j * nu) * (j * m + n) ** 2,
-                ((2 * j + 1) * nu - j * mu) * m + (nu - mu) * n)
-
-    return ContinuedFraction.from_rule(0, rule)
-
-
 def _f2_refs(P: Params, target: float) -> Tuple[float, ...]:
     integrand = PowerBinomialIntegrand(alpha=float(P["n"]), r=float(P["m"]), beta=0.0,
                                        gamma_exp=-float(P["mu"]) / float(P["nu"]),
@@ -182,11 +141,6 @@ def _f2_refs(P: Params, target: float) -> Tuple[float, ...]:
 
 def _f3_check(P: Params) -> Optional[str]:
     return None if P["s"] > 0 else "s > 0"
-
-
-def _f3_build(P: Params) -> ContinuedFraction:
-    s = _f(P["s"])
-    return ContinuedFraction.from_rule(s, lambda k: ((2 * k - 1) ** 2, 2 * s))
 
 
 def _f3_refs(P: Params, target: float) -> Tuple[float, ...]:
@@ -220,69 +174,11 @@ def _f4_refs(P: Params, target: float) -> Tuple[float, ...]:
     return ((p + 2 * q - r) * sqrt_kernel_integral(p + 2 * q, r) / sqrt_kernel_integral(p, r),)
 
 
-def _f4_25_build(P: Params) -> ContinuedFraction:
-    p, q, r = _f(P["p"]), _f(P["q"]), _f(P["r"])
-
-    def rule(k):
-        if k == 1:
-            return (2 * p * (q - r), p + r)
-        return ((p + 2 * q + (k - 3) * r) * (p + (k - 1) * r), r)
-
-    return ContinuedFraction.from_rule(p, rule)
-
-
-def _f4_25alt_build(P: Params) -> ContinuedFraction:
-    p, q, r = _f(P["p"]), _f(P["q"]), _f(P["r"])
-
-    def rule(k):
-        if k == 1:
-            return (p, 1)
-        if k == 2:
-            return (2 * (r - q), p + 2 * q - r)
-        return ((p + 2 * q + (k - 4) * r) * (p + (k - 2) * r), r)
-
-    return ContinuedFraction.from_rule(0, rule)
-
-
-def _f4_26_build(P: Params) -> ContinuedFraction:
-    p, q, r = _f(P["p"]), _f(P["q"]), _f(P["r"])
-
-    def rule(k):
-        if k == 1:
-            return (q * (r - q), p + q)
-        return ((p + (k - 2) * r) * (p + 2 * q + (k - 3) * r), 2 * r)
-
-    return ContinuedFraction.from_rule(p + q - r, rule)
-
-
-def _f4_27_build(P: Params) -> ContinuedFraction:
-    p, q, r = _f(P["p"]), _f(P["q"]), _f(P["r"])
-
-    def rule(k):
-        if k == 1:
-            return (-2 * q * (p + 2 * q - r), p + 2 * q)
-        return ((p + (k - 2) * r) * (p + 2 * q + (k - 2) * r), r)
-
-    return ContinuedFraction.from_rule(p + 2 * q - r, rule)
-
-
 def _f5_check(P: Params) -> Optional[str]:
     for name in ("f", "h", "r"):
         if not P[name] > 0:
             return f"{name} > 0"
     return None
-
-
-def _product_terms_build(leading, f, h, r, den) -> ContinuedFraction:
-    def rule(k):
-        return ((f + (k - 1) * r) * (h + (k - 1) * r), den)
-
-    return ContinuedFraction.from_rule(leading, rule)
-
-
-def _f5_build(P: Params) -> ContinuedFraction:
-    f, h, r = _f(P["f"]), _f(P["h"]), _f(P["r"])
-    return _product_terms_build(r, f, h, r, r)
 
 
 def _sqrt_moment_ratio_value(f: float, h: float, r: float) -> float:
@@ -317,15 +213,6 @@ def _f5_refs(P: Params, target: float) -> Tuple[float, ...]:
     return (_sqrt_moment_ratio_value(f, h, r), _half_power_ratio_value(f, h, r, target))
 
 
-def _f6_check(P: Params) -> Optional[str]:
-    return _f5_check(P)
-
-
-def _f6_build(P: Params) -> ContinuedFraction:
-    f, h, r = _f(P["f"]), _f(P["h"]), _f(P["r"])
-    return _product_terms_build(2 * r, f, h, r, 2 * r)
-
-
 def _f6_refs(P: Params, target: float) -> Tuple[float, ...]:
     f, h, r = float(P["f"]), float(P["h"]), float(P["r"])
     if abs(P["f"] - P["h"]) == P["r"]:
@@ -351,15 +238,6 @@ def _f7_check(P: Params) -> Optional[str]:
     return None
 
 
-def _f7_build(P: Params) -> ContinuedFraction:
-    q, r, s = _f(P["q"]), _f(P["r"]), _f(P["s"])
-
-    def rule(k):
-        return (((k - 1) * r + q) * (k * r - q), 2 * s)
-
-    return ContinuedFraction.from_rule(s, rule)
-
-
 def _f7_ref_value(q: float, r: float, s: float) -> float:
     return (q + s) * sqrt_kernel_integral(q + r + s, r) / sqrt_kernel_integral(r + s - q, r)
 
@@ -380,18 +258,6 @@ def _f8_check(P: Params) -> Optional[str]:
     if not P["c"] - P["b"] + P["r"] > 0:
         return "c - b + r > 0"
     return None
-
-
-def _f8_build(P: Params) -> ContinuedFraction:
-    a, b, c, r, p, q = (_f(P[k]) for k in ("a", "b", "c", "r", "p", "q"))
-    g = a + b - c - r
-
-    def rule(k):
-        j = k - 1
-        return (p * g if k == 1 else p * q * (c + j * r) * (g + j * r),
-                (a + j * r) * p - (b + j * r) * q)
-
-    return ContinuedFraction.from_rule(0, rule)
 
 
 def _f8_moment_ratio(a: float, b: float, c: float, r: float, p: float, q: float,
@@ -420,16 +286,6 @@ def _f9_check(P: Params) -> Optional[str]:
     return None
 
 
-def _f9_build(P: Params) -> ContinuedFraction:
-    c, g, r, s = (_f(P[k]) for k in ("c", "g", "r", "s"))
-
-    def rule(k):
-        j = k - 1
-        return ((c + j * r) * (g + j * r), s)
-
-    return ContinuedFraction.from_rule(0, rule)
-
-
 def _f9_refs(P: Params, target: float) -> Tuple[float, ...]:
     c, g, r, s = (float(P[k]) for k in ("c", "g", "r", "s"))
     a = (c + g + r + s) / 2.0
@@ -439,11 +295,6 @@ def _f9_refs(P: Params, target: float) -> Tuple[float, ...]:
 
 def _f10_check(P: Params) -> Optional[str]:
     return None if P["s"] > 0 else "s > 0"
-
-
-def _f10_build(P: Params) -> ContinuedFraction:
-    s = _f(P["s"])
-    return ContinuedFraction.from_rule(0, lambda k: (k * k, s))
 
 
 def _f10_refs(P: Params, target: float) -> Tuple[float, ...]:
@@ -459,16 +310,6 @@ def _f11_check(P: Params) -> Optional[str]:
             > P["beta"] ** 2 * P["a"]):
         return "alpha^2 + alpha*beta*b > beta^2*a"
     return None
-
-
-def _f11_build(P: Params) -> ContinuedFraction:
-    a, al, b, be = (_f(P[k]) for k in ("a", "alpha", "b", "beta"))
-
-    def rule(k):
-        j = k - 1
-        return (a + j * al, b + j * be)
-
-    return ContinuedFraction.from_rule(0, rule)
 
 
 def _f11_refs(P: Params, target: float) -> Tuple[float, ...]:
@@ -497,15 +338,6 @@ def _f12_check(P: Params) -> Optional[str]:
     return None
 
 
-def _f12_build(P: Params) -> ContinuedFraction:
-    a, al, b = (_f(P[k]) for k in ("a", "alpha", "b"))
-
-    def rule(k):
-        return (a + (k - 1) * al, b)
-
-    return ContinuedFraction.from_rule(0, rule)
-
-
 def _f12_refs(P: Params, target: float) -> Tuple[float, ...]:
     a, al, b = (float(P[k]) for k in ("a", "alpha", "b"))
     e = a / al
@@ -513,24 +345,11 @@ def _f12_refs(P: Params, target: float) -> Tuple[float, ...]:
             / gaussian_tail_integral(e - 1.0, al, b, target),)
 
 
-# fixed cases: explicit term sequences with independently computed constants
-
-def _const_family(fid: str, describe: str, leading: Rational, rule,
-                  const: Callable[[float], Tuple[float, ...]], notes: str = "") -> IdentityFamily:
-    return IdentityFamily(
-        id=fid, param_names=(), describe=describe,
-        check=_no_constraint,
-        build=lambda P: ContinuedFraction.from_rule(leading, rule),
-        refs=lambda P, target: const(target),
-        notes=notes,
-    )
-
-
 _GOLDEN_P = (math.sqrt(5.0) + 1.0) / 2.0
 _GOLDEN_Q = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_refs(target: float) -> Tuple[float, ...]:
+def _golden_refs(P: Params, target: float) -> Tuple[float, ...]:
     a = (1.0 + 3.0 * math.sqrt(5.0)) / (2.0 * math.sqrt(5.0))
     b = (3.0 * math.sqrt(5.0) - 1.0) / (2.0 * math.sqrt(5.0))
     ratio = _f8_moment_ratio(a, b, 1.0, 1.0, _GOLDEN_P, _GOLDEN_Q, target)
@@ -540,98 +359,108 @@ def _golden_refs(target: float) -> Tuple[float, ...]:
 FAMILIES: dict[str, IdentityFamily] = {}
 
 
-def _register(fam: IdentityFamily) -> None:
-    FAMILIES[fam.id] = fam
+def _register(fid: str, param_names: Tuple[str, ...], describe: str, check,
+              spec: Callable[..., TermSpec], refs, notes: str = "") -> None:
+    """Add a family; ``spec`` maps its parameters, as keyword arguments, to a TermSpec."""
+    FAMILIES[fid] = IdentityFamily(fid, param_names, describe, check,
+                                   lambda P: ContinuedFraction.from_spec(spec(**P)), refs, notes)
 
 
-_register(IdentityFamily("F1", ("m", "n"),
-                         "x^(n-1)/(1+x^m) moment as an equal-denominator fraction",
-                         _f1_check, _f1_build, _f1_refs))
-_register(IdentityFamily("F1-frac", ("m", "n"),
-                         "fractional-exponent variant: dx/(1+x^(m/n))",
-                         _f1_check, _f1frac_build, _f1frac_refs))
-_register(IdentityFamily("F2", ("mu", "nu", "m", "n"),
-                         "binomial weight x^(n-1)(1+x^m)^(-mu/nu)",
-                         _f2_check, _f2_build, _f2_refs,
-                         notes="mu/nu >= 2 loses the positivity certificate; "
-                               "integer mu with nu=1 oscillates divergently"))
-_register(IdentityFamily("F3", ("s",),
-                         "s + 1/(2s + 9/(2s + 25/(2s + ...)))",
-                         _f3_check, _f3_build, _f3_refs))
-_register(IdentityFamily("F4-25", ("p", "q", "r"),
-                         "interpolation form anchored at p (signed when q < r)",
-                         _f4_check_common, _f4_25_build, _f4_refs))
-_register(IdentityFamily("F4-25alt", ("p", "q", "r"),
-                         "all-positive rearrangement of F4-25 for r > q",
-                         _f4_check_alt, _f4_25alt_build, _f4_refs))
-_register(IdentityFamily("F4-26", ("p", "q", "r"),
-                         "interpolation form with doubled partial denominators",
-                         _f4_check_common, _f4_26_build, _f4_refs))
-_register(IdentityFamily("F4-27", ("p", "q", "r"),
-                         "signed interpolation form (first numerator negative)",
-                         _f4_check_common, _f4_27_build, _f4_refs))
-_register(IdentityFamily("F5", ("f", "h", "r"),
-                         "r + fh/(r + (f+r)(h+r)/(r + ...)), dual references",
-                         _f5_check, _f5_build, _f5_refs))
-_register(IdentityFamily("F6", ("f", "h", "r"),
-                         "2r + fh/(2r + ...); f = h + r handled as a limit",
-                         _f6_check, _f6_build, _f6_refs))
-_register(IdentityFamily("F7", ("q", "r", "s"),
-                         "s + q(r-q)/(2s + (r+q)(2r-q)/(2s + ...))",
-                         _f7_check, _f7_build, _f7_refs))
-_register(IdentityFamily("F8", ("a", "b", "c", "r", "p", "q"),
-                         "master family with weight (p + q x^r)",
-                         _f8_check, _f8_build, _f8_refs))
-_register(IdentityFamily("F9", ("c", "g", "r", "s"),
-                         "p = q = 1 specialization: equal partial denominators",
-                         _f9_check, _f9_build, _f9_refs))
-_register(IdentityFamily("F10", ("s",),
-                         "1/(s + 4/(s + 9/(s + 16/...))) vs arctangent moment",
-                         _f10_check, _f10_build, _f10_refs))
-_register(IdentityFamily("F11", ("a", "alpha", "b", "beta"),
-                         "arithmetic numerators a, a+alpha, a+2 alpha, ...",
-                         _f11_check, _f11_build, _f11_refs))
-_register(IdentityFamily("F12", ("a", "alpha", "b"),
-                         "beta = 0 limit of F11 (constant partial denominators)",
-                         _f12_check, _f12_build, _f12_refs))
+# the spec table: TermSpec(leading, head terms, b(K), a(K)), K the 1-based
+# term index; the polynomials give every term after the head terms
 
-_register(_const_family(
-    "log2", "1/(1 + 1/(1 + 4/(1 + 9/(1 + ...)))) = log 2",
-    0, lambda k: (1, 1) if k == 1 else ((k - 1) ** 2, 1),
-    lambda target: (math.log(2.0),)))
-_register(_const_family(
-    "brouncker", "1/(1 + 1/(2 + 9/(2 + 25/(2 + ...)))) = pi/4",
-    0, lambda k: (1, 1) if k == 1 else ((2 * k - 3) ** 2, 2),
-    lambda target: (math.pi / 4.0,)))
-_register(_const_family(
-    "e-euler", "2 + 2/(2 + 3/(3 + 4/(4 + ...))) = e",
-    2, lambda k: (2, 2) if k == 1 else (k + 1, k + 1),
-    lambda target: (math.e,)))
-_register(_const_family(
-    "log2-recip", "2 + 1*2/(2 + 2*3/(2 + 3*4/(2 + ...))) = 1/(2 log 2 - 1)",
-    2, lambda k: (k * (k + 1), 2),
-    lambda target: (1.0 / (2.0 * math.log(2.0) - 1.0),)))
-_register(_const_family(
-    "pi-half-a", "1 + 1/(1 + 1*2/(1 + 2*3/(1 + ...))) = pi/2",
-    1, lambda k: (1, 1) if k == 1 else ((k - 1) * k, 1),
-    lambda target: (math.pi / 2.0,)))
-_register(_const_family(
-    "pi-half-b", "2 - 1/(2 + 1/(2 + 4/(2 + 9/(2 + ...)))) = pi/2 (signed)",
-    2, lambda k: (-1, 2) if k == 1 else ((k - 1) ** 2, 2),
-    lambda target: (math.pi / 2.0,)))
-_register(_const_family(
-    "three-pi-quarter-a", "2 + 1/(2 + 1*3/(2 + 2*4/(2 + ...))) = 3 pi/4",
-    2, lambda k: (1, 2) if k == 1 else ((k - 1) * (k + 1), 2),
-    lambda target: (0.75 * math.pi,)))
-_register(_const_family(
-    "three-pi-quarter-b", "1 + 3/(1 + 1*4/(1 + 2*5/(1 + ...))) = 3 pi/4",
-    1, lambda k: (3, 1) if k == 1 else ((k - 1) * (k + 2), 1),
-    lambda target: (0.75 * math.pi,)))
-_register(_const_family(
-    "golden", "1 + 1/(2 + 4/(3 + 9/(4 + 16/(5 + ...)))), irrational-exponent preset",
-    1, lambda k: (k * k, k + 1),
-    _golden_refs,
-    notes="numeric-only verification; no closed form"))
+_register("F1", ("m", "n"), "x^(n-1)/(1+x^m) moment as an equal-denominator fraction",
+          _f1_check, lambda m, n: TermSpec(0, [(1, n)], ((K - 2) * m + n) ** 2, m),
+          _f1_refs)
+_register("F1-frac", ("m", "n"), "fractional-exponent variant: dx/(1+x^(m/n))",
+          _f1_check, lambda m, n: TermSpec(0, [(1, 1), (n, m)], ((K - 2) * m + n) ** 2, m),
+          _f1frac_refs)
+_register("F2", ("mu", "nu", "m", "n"), "binomial weight x^(n-1)(1+x^m)^(-mu/nu)",
+          _f2_check,
+          lambda mu, nu, m, n: TermSpec(
+              0, [(1, n), (mu * n * n, nu * m + (nu - mu) * n)],
+              (K - 2) * nu * (mu + (K - 2) * nu) * ((K - 2) * m + n) ** 2,
+              ((2 * K - 3) * nu - (K - 2) * mu) * m + (nu - mu) * n),
+          _f2_refs,
+          notes="mu/nu >= 2 loses the positivity certificate; "
+                "integer mu with nu=1 oscillates divergently")
+_register("F3", ("s",), "s + 1/(2s + 9/(2s + 25/(2s + ...)))",
+          _f3_check, lambda s: TermSpec(s, [], (2 * K - 1) ** 2, 2 * s), _f3_refs)
+_register("F4-25", ("p", "q", "r"), "interpolation form anchored at p (signed when q < r)",
+          _f4_check_common,
+          lambda p, q, r: TermSpec(p, [(2 * p * (q - r), p + r)],
+                                   (p + 2 * q + (K - 3) * r) * (p + (K - 1) * r), r),
+          _f4_refs)
+_register("F4-25alt", ("p", "q", "r"), "all-positive rearrangement of F4-25 for r > q",
+          _f4_check_alt,
+          lambda p, q, r: TermSpec(0, [(p, 1), (2 * (r - q), p + 2 * q - r)],
+                                   (p + 2 * q + (K - 4) * r) * (p + (K - 2) * r), r),
+          _f4_refs)
+_register("F4-26", ("p", "q", "r"), "interpolation form with doubled partial denominators",
+          _f4_check_common,
+          lambda p, q, r: TermSpec(p + q - r, [(q * (r - q), p + q)],
+                                   (p + (K - 2) * r) * (p + 2 * q + (K - 3) * r), 2 * r),
+          _f4_refs)
+_register("F4-27", ("p", "q", "r"), "signed interpolation form (first numerator negative)",
+          _f4_check_common,
+          lambda p, q, r: TermSpec(p + 2 * q - r, [(-2 * q * (p + 2 * q - r), p + 2 * q)],
+                                   (p + (K - 2) * r) * (p + 2 * q + (K - 2) * r), r),
+          _f4_refs)
+_register("F5", ("f", "h", "r"), "r + fh/(r + (f+r)(h+r)/(r + ...)), dual references",
+          _f5_check,
+          lambda f, h, r: TermSpec(r, [], (f + (K - 1) * r) * (h + (K - 1) * r), r),
+          _f5_refs)
+_register("F6", ("f", "h", "r"), "2r + fh/(2r + ...); f = h + r handled as a limit",
+          _f5_check,
+          lambda f, h, r: TermSpec(2 * r, [], (f + (K - 1) * r) * (h + (K - 1) * r), 2 * r),
+          _f6_refs)
+_register("F7", ("q", "r", "s"), "s + q(r-q)/(2s + (r+q)(2r-q)/(2s + ...))",
+          _f7_check, lambda q, r, s: TermSpec(s, [], ((K - 1) * r + q) * (K * r - q), 2 * s),
+          _f7_refs)
+_register("F8", ("a", "b", "c", "r", "p", "q"), "master family with weight (p + q x^r)",
+          _f8_check,
+          lambda a, b, c, r, p, q: TermSpec(
+              0, [(p * (a + b - c - r), a * p - b * q)],
+              p * q * (c + (K - 1) * r) * (a + b - c + (K - 2) * r),
+              (a + (K - 1) * r) * p - (b + (K - 1) * r) * q),
+          _f8_refs)
+_register("F9", ("c", "g", "r", "s"), "p = q = 1 specialization: equal partial denominators",
+          _f9_check,
+          lambda c, g, r, s: TermSpec(0, [], (c + (K - 1) * r) * (g + (K - 1) * r), s),
+          _f9_refs)
+_register("F10", ("s",), "1/(s + 4/(s + 9/(s + 16/...))) vs arctangent moment",
+          _f10_check, lambda s: TermSpec(0, [], K * K, s), _f10_refs)
+_register("F11", ("a", "alpha", "b", "beta"), "arithmetic numerators a, a+alpha, a+2 alpha, ...",
+          _f11_check,
+          lambda a, alpha, b, beta: TermSpec(0, [], a + (K - 1) * alpha, b + (K - 1) * beta),
+          _f11_refs)
+_register("F12", ("a", "alpha", "b"), "beta = 0 limit of F11 (constant partial denominators)",
+          _f12_check, lambda a, alpha, b: TermSpec(0, [], a + (K - 1) * alpha, b), _f12_refs)
+
+# fixed cases: explicit term sequences with independently computed constants
+_register("log2", (), "1/(1 + 1/(1 + 4/(1 + 9/(1 + ...)))) = log 2", _no_constraint,
+          lambda: TermSpec(0, [(1, 1)], (K - 1) ** 2, 1), lambda P, target: (math.log(2.0),))
+_register("brouncker", (), "1/(1 + 1/(2 + 9/(2 + 25/(2 + ...)))) = pi/4", _no_constraint,
+          lambda: TermSpec(0, [(1, 1)], (2 * K - 3) ** 2, 2), lambda P, target: (math.pi / 4.0,))
+_register("e-euler", (), "2 + 2/(2 + 3/(3 + 4/(4 + ...))) = e", _no_constraint,
+          lambda: TermSpec(2, [(2, 2)], K + 1, K + 1), lambda P, target: (math.e,))
+_register("log2-recip", (), "2 + 1*2/(2 + 2*3/(2 + 3*4/(2 + ...))) = 1/(2 log 2 - 1)",
+          _no_constraint, lambda: TermSpec(2, [], K * (K + 1), 2),
+          lambda P, target: (1.0 / (2.0 * math.log(2.0) - 1.0),))
+_register("pi-half-a", (), "1 + 1/(1 + 1*2/(1 + 2*3/(1 + ...))) = pi/2", _no_constraint,
+          lambda: TermSpec(1, [(1, 1)], (K - 1) * K, 1), lambda P, target: (math.pi / 2.0,))
+_register("pi-half-b", (), "2 - 1/(2 + 1/(2 + 4/(2 + 9/(2 + ...)))) = pi/2 (signed)",
+          _no_constraint, lambda: TermSpec(2, [(-1, 2)], (K - 1) ** 2, 2),
+          lambda P, target: (math.pi / 2.0,))
+_register("three-pi-quarter-a", (), "2 + 1/(2 + 1*3/(2 + 2*4/(2 + ...))) = 3 pi/4",
+          _no_constraint, lambda: TermSpec(2, [(1, 2)], (K - 1) * (K + 1), 2),
+          lambda P, target: (0.75 * math.pi,))
+_register("three-pi-quarter-b", (), "1 + 3/(1 + 1*4/(1 + 2*5/(1 + ...))) = 3 pi/4",
+          _no_constraint, lambda: TermSpec(1, [(3, 1)], (K - 1) * (K + 2), 1),
+          lambda P, target: (0.75 * math.pi,))
+_register("golden", (), "1 + 1/(2 + 4/(3 + 9/(4 + 16/(5 + ...)))), irrational-exponent preset",
+          _no_constraint, lambda: TermSpec(1, [], K * K, K + 1), _golden_refs,
+          notes="numeric-only verification; no closed form")
 
 
 def family_ids() -> list[str]:
@@ -705,8 +534,7 @@ class IdentityCase:
     max_terms: int = 400_000
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        check_tolerance(self.tolerance, "tolerance")
         if self.max_terms < 1:
             raise ValueError("max_terms must be positive")
 
@@ -789,14 +617,9 @@ _CHAIN_REFERENCE_POINT = (Fraction(3, 2), Fraction(2), Fraction(1, 2), Fraction(
 def _chain_cf(m: Fraction, n: Fraction, s: Fraction, kappa: Fraction,
               shift: int, kappa_sign: int) -> ContinuedFraction:
     lead = m + n + (2 * shift - 1) * s
-
-    def rule(k):
-        num = k * k * s * s - k * m * s + k * n * s + kappa
-        if k == 1 and kappa_sign < 0:
-            num = s * s - m * s + n * s - kappa
-        return (num, lead)
-
-    return ContinuedFraction.from_rule(lead, rule)
+    head = [(s * s - m * s + n * s - kappa, lead)] if kappa_sign < 0 else []
+    return ContinuedFraction.from_spec(
+        TermSpec(lead, head, K * K * s * s - K * m * s + K * n * s + kappa, lead))
 
 
 def _chain_eval(m, n, s, kappa, shift: int, kappa_sign: int,

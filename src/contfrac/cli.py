@@ -35,7 +35,9 @@ from .catalog import (
 from .core import (
     EvalStatus,
     ZeroContinuantError,
+    check_tolerance,
     convergent_sequence,
+    euler_series_expansion,
     eval_float,
 )
 from .quadrature import QuadratureError
@@ -76,6 +78,20 @@ def _parse_params(pairs: Sequence[str]) -> dict[str, Fraction]:
     return params
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    try:
+        return check_tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _rat_json(v: Fraction):
     return int(v) if v.denominator == 1 else str(v)
 
@@ -94,9 +110,9 @@ def _build_parser() -> _Parser:
                         help="family id; `--family list` prints the catalog")
     p_eval.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
                         help="family parameter; rationals like 3/4 are exact")
-    p_eval.add_argument("--terms", type=int, default=None,
+    p_eval.add_argument("--terms", type=_positive_int, default=None,
                         help="term budget (default 1000000; 30 with --exact)")
-    p_eval.add_argument("--tol", type=float, default=1e-10)
+    p_eval.add_argument("--tol", type=_tolerance, default=1e-10)
     p_eval.add_argument("--exact", action="store_true",
                         help="also print the exact convergents up to the term budget")
     p_eval.add_argument("--json", action="store_true")
@@ -111,7 +127,7 @@ def _build_parser() -> _Parser:
     p_c2s = conv_sub.add_parser("cf-to-series")
     p_c2s.add_argument("--family", required=True)
     p_c2s.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
-    p_c2s.add_argument("--depth", type=int, default=10)
+    p_c2s.add_argument("--depth", type=_positive_int, default=10)
     p_c2s.add_argument("--json", action="store_true")
 
     p_ver = sub.add_parser("verify", help="verify identity cases (JSON lines)")
@@ -125,8 +141,8 @@ def _build_parser() -> _Parser:
     p_ric.add_argument("--b", required=True)
     p_ric.add_argument("--c", required=True)
     p_ric.add_argument("--m", required=True)
-    p_ric.add_argument("--depth", type=int, default=80)
-    p_ric.add_argument("--tol", type=float, default=1e-8)
+    p_ric.add_argument("--depth", type=_positive_int, default=80)
+    p_ric.add_argument("--tol", type=_tolerance, default=1e-8)
     p_ric.add_argument("--json", action="store_true")
 
     return parser
@@ -238,14 +254,12 @@ def _cmd_convert_c2s(args) -> int:
     except (UnknownFamilyError, ConstraintViolation, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
-    from .core import euler_series_expansion
-
     partial = False
     warning = ""
     try:
         terms = euler_series_expansion(cf, args.depth)
     except ZeroContinuantError as exc:
-        terms = getattr(exc, "partial", [])
+        terms = exc.partial
         partial = True
         warning = str(exc)
     if args.json:
@@ -262,7 +276,11 @@ def _cmd_convert_c2s(args) -> int:
 # ---------------------------------------------------------------- verify
 
 class ManifestError(Exception):
-    pass
+    """An unreadable or malformed manifest, or (exit 64) a bad tolerance in one."""
+
+    def __init__(self, message: str, exit_code: int = EX_NOINPUT):
+        self.exit_code = exit_code
+        super().__init__(message)
 
 
 def load_manifest(path: str) -> list[IdentityCase]:
@@ -296,8 +314,11 @@ def load_manifest(path: str) -> list[IdentityCase]:
         except (ValueError, ZeroDivisionError) as exc:
             raise ManifestError(f"{where}: {exc}") from None
         try:
-            case = IdentityCase(family, params,
-                                float(entry.get("tolerance", 1e-4)),
+            tolerance = check_tolerance(float(entry.get("tolerance", 1e-4)), "tolerance")
+        except (TypeError, ValueError) as exc:
+            raise ManifestError(f"{where}: {exc}", EX_USAGE) from None
+        try:
+            case = IdentityCase(family, params, tolerance,
                                 int(entry.get("max_terms", 400_000)))
         except (TypeError, ValueError) as exc:
             raise ManifestError(f"{where}: {exc}") from None
@@ -330,7 +351,7 @@ def _cmd_verify(args) -> int:
             cases = load_manifest(args.manifest)
         except ManifestError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EX_NOINPUT
+            return exc.exit_code
     else:
         cases = builtin_suite()
     if args.family is not None:

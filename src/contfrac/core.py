@@ -22,6 +22,7 @@ whose entries are all positive, consecutive convergents bracket the limit;
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -44,10 +45,14 @@ class ZeroDenominatorError(ContinuedFractionError):
 
 
 class ZeroContinuantError(ContinuedFractionError):
-    """A denominator continuant q_k vanished where a defined value was required."""
+    """A denominator continuant q_k vanished where a defined value was required.
 
-    def __init__(self, index: int):
+    ``partial`` holds whatever the failing operation produced before q_k.
+    """
+
+    def __init__(self, index: int, partial: Optional[list] = None):
         self.index = index
+        self.partial = [] if partial is None else partial
         super().__init__(f"denominator continuant q_{index} is zero")
 
 
@@ -77,6 +82,12 @@ def _as_exact(value: Rational) -> Exact:
     return Fraction(value)
 
 
+def _reduced(value: Rational) -> Exact:
+    """Exact value, as a plain int when it is integral."""
+    x = as_fraction(value)
+    return x.numerator if x.denominator == 1 else x
+
+
 class PartialTerm(NamedTuple):
     numerator: Exact
     denominator: Exact
@@ -90,15 +101,141 @@ TermRule = Callable[[int], Optional[Tuple[Rational, Rational]]]
 
 
 @dataclass(frozen=True)
+class Poly:
+    """Polynomial in the term index k with rational coefficients, kept as
+    integer coefficients ``ints`` (highest degree first) over one positive
+    denominator ``den``: the value is N(k)/den with N evaluated by Horner.
+    Arithmetic with rationals and other ``Poly`` values lets a term rule be
+    written as an expression in ``K``, e.g. ``(f + (K-1)*r) ** 2``."""
+
+    ints: Tuple[int, ...]
+    den: int = 1
+
+    def __post_init__(self):
+        ints = self.ints
+        while len(ints) > 1 and ints[0] == 0:
+            ints = ints[1:]
+        g = math.gcd(self.den, *ints)
+        object.__setattr__(self, "ints", tuple(c // g for c in ints) if g > 1 else tuple(ints))
+        object.__setattr__(self, "den", self.den // g)
+
+    @staticmethod
+    def lift(x: Union["Poly", Rational]) -> "Poly":
+        if isinstance(x, Poly):
+            return x
+        if isinstance(x, int):
+            return Poly((x,))
+        x = as_fraction(x)
+        return Poly((x.numerator,), x.denominator)
+
+    def __add__(self, other):
+        o = Poly.lift(other)
+        a = [c * o.den for c in self.ints]
+        b = [c * self.den for c in o.ints]
+        n = max(len(a), len(b))
+        a[:0] = [0] * (n - len(a))
+        b[:0] = [0] * (n - len(b))
+        return Poly(tuple(x + y for x, y in zip(a, b)), self.den * o.den)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + Poly.lift(other) * -1
+
+    def __rsub__(self, other):
+        return self * -1 + other
+
+    def __mul__(self, other):
+        o = Poly.lift(other)
+        out = [0] * (len(self.ints) + len(o.ints) - 1)
+        for i, x in enumerate(self.ints):
+            for j, y in enumerate(o.ints):
+                out[i + j] += x * y
+        return Poly(tuple(out), self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        return math.prod([self] * n, start=Poly((1,)))
+
+
+K = Poly((1, 0))
+
+
+@dataclass(frozen=True)
+class TermSpec:
+    """A fraction as data: ``leading``, explicit ``head`` terms for
+    k = 1..len(head), then b_k = b(k) and a_k = a(k) for every later k."""
+
+    leading: Fraction
+    head: Tuple[PartialTerm, ...]
+    b: Poly
+    a: Poly
+
+    def __post_init__(self):
+        object.__setattr__(self, "leading", as_fraction(self.leading))
+        object.__setattr__(self, "head", tuple(PartialTerm(_reduced(b), _reduced(a))
+                                               for b, a in self.head))
+        object.__setattr__(self, "b", Poly.lift(self.b))
+        object.__setattr__(self, "a", Poly.lift(self.a))
+
+    def exact_terms(self) -> Iterator[PartialTerm]:
+        """The exact stream; a polynomial with ``den`` 1 gives plain ints."""
+        yield from self.head
+        nb, db, na, da = self.b.ints, self.b.den, self.a.ints, self.a.den
+        for k in itertools.count(len(self.head) + 1):
+            n = m = 0
+            for c in nb:
+                n = n * k + c
+            for c in na:
+                m = m * k + c
+            yield PartialTerm(n if db == 1 else Fraction(n, db), m if da == 1 else Fraction(m, da))
+
+    def float_terms(self, max_terms: int) -> Iterator[Tuple[Optional[float], Optional[float]]]:
+        """``_float_terms`` of the exact stream, computed as N(k)/D: int true
+        division rounds correctly, so each value equals ``float()`` of the
+        exact term."""
+        yield from _float_terms(self.head[:max_terms])
+        nb, db, na, da = self.b.ints, self.b.den, self.a.ints, self.a.den
+        for k in range(len(self.head) + 1, max_terms + 1):
+            n = m = 0
+            for c in nb:
+                n = n * k + c
+            for c in na:
+                m = m * k + c
+            if m == 0:
+                raise ZeroDenominatorError(k)
+            yield (n / db, m / da) if n else _ZERO_NUMERATOR
+
+
+_ZERO_NUMERATOR = (None, None)
+
+
+def _float_terms(pairs: Iterable[Tuple[Rational, Rational]]):
+    """Float pairs for a stream of exact terms numbered from 1.
+
+    Zero tests are exact: a zero denominator raises, a zero numerator yields
+    ``_ZERO_NUMERATOR`` (the fraction ends there).
+    """
+    for k, (b, a) in enumerate(pairs, 1):
+        if a == 0:
+            raise ZeroDenominatorError(k)
+        yield (float(b), float(a)) if b != 0 else _ZERO_NUMERATOR
+
+
+@dataclass(frozen=True)
 class ContinuedFraction:
     """Leading rational plus a deterministic stream of partial terms.
 
     ``factory`` must return a fresh, equivalent iterator on every call, so
     requesting the first k terms twice always yields identical values.
+    A fraction built ``from_spec`` also carries its ``TermSpec``, which lets
+    ``eval_float`` compute float terms without the exact stream.
     """
 
     leading: Fraction
     factory: Callable[[], Iterator[PartialTerm]]
+    spec: Optional[TermSpec] = None
 
     def terms(self) -> Iterator[PartialTerm]:
         """Iterate partial terms, rejecting zero partial denominators."""
@@ -131,6 +268,10 @@ class ContinuedFraction:
                 k += 1
 
         return ContinuedFraction(as_fraction(leading), factory)
+
+    @staticmethod
+    def from_spec(spec: TermSpec) -> "ContinuedFraction":
+        return ContinuedFraction(spec.leading, spec.exact_terms, spec)
 
     @staticmethod
     def from_pairs(leading: Rational, pairs: Iterable[Tuple[Rational, Rational]]) -> "ContinuedFraction":
@@ -201,9 +342,7 @@ def euler_series_expansion(cf: ContinuedFraction, k: int) -> list[Fraction]:
         q_next = t.denominator * q + t.numerator * q_prev
         prod *= t.numerator
         if q_next == 0:
-            err = ZeroContinuantError(j)
-            err.partial = out  # type: ignore[attr-defined]
-            raise err
+            raise ZeroContinuantError(j, out)
         out.append(sign * prod / (q * q_next))
         sign = -sign
         q_prev, q = q, q_next
@@ -321,6 +460,14 @@ _RENORM_SCALE = 2.0 ** -512
 _DIVERGENCE_WINDOW = 12
 
 
+def check_tolerance(tol: float, name: str = "tol") -> float:
+    """Return ``tol``; reject every tolerance that is not a finite positive
+    number (NaN too) with ``ValueError``."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{name} must be a finite positive number, got {tol!r}")
+    return tol
+
+
 def eval_float(cf: ContinuedFraction, tol: float, max_terms: int) -> EvalReport:
     """Evaluate in floating point with renormalised forward recurrences.
 
@@ -336,9 +483,11 @@ def eval_float(cf: ContinuedFraction, tol: float, max_terms: int) -> EvalReport:
     A zero partial numerator terminates the fraction exactly; exhausting the
     term stream reports the final convergent.  Undefined convergents
     (q_k = 0) are skipped and the recurrence continues.
+
+    Terms come from the fraction's ``TermSpec`` when it has one, otherwise
+    from its exact stream; both give the same floats.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tolerance(tol)
     if max_terms < 1:
         raise ValueError("max_terms must be positive")
 
@@ -352,34 +501,38 @@ def eval_float(cf: ContinuedFraction, tol: float, max_terms: int) -> EvalReport:
     upper: Optional[float] = None
     small_streak = 0
     diffs: deque[float] = deque(maxlen=_DIVERGENCE_WINDOW)
+    big, small = _RENORM_LIMIT, _RENORM_SCALE
 
-    it = cf.terms()
+    if cf.spec is not None:
+        source = cf.spec.float_terms(max_terms)
+    else:
+        source = _float_terms(itertools.islice(cf.factory(), max_terms))
     k = 0
-    while k < max_terms:
-        t = next(it, None)
-        if t is None:
-            return EvalReport(v_last, None, None, k, EvalStatus.TERMINATED_FINITE)
+    for b, a in source:
         k += 1
-        if t.numerator == 0:
+        if b is None:
             return EvalReport(v_last, None, None, k, EvalStatus.TERMINATED_FINITE)
-        b = float(t.numerator)
-        a = float(t.denominator)
         if positive and (b <= 0.0 or a <= 0.0):
             positive = False
             lower = upper = None
         p, p_prev = a * p + b * p_prev, p
         q, q_prev = a * q + b * q_prev, q
-        mag = max(abs(p), abs(q), abs(p_prev), abs(q_prev))
-        if mag > _RENORM_LIMIT:
-            p *= _RENORM_SCALE
-            q *= _RENORM_SCALE
-            p_prev *= _RENORM_SCALE
-            q_prev *= _RENORM_SCALE
-        elif 0.0 < mag < _RENORM_SCALE:
-            p *= _RENORM_LIMIT
-            q *= _RENORM_LIMIT
-            p_prev *= _RENORM_LIMIT
-            q_prev *= _RENORM_LIMIT
+        # with |p| in [small, big] and the rest within big, max(...) below
+        # takes neither branch; testing that first skips five calls (NaN
+        # fails every comparison here and gets the full test)
+        if not ((small <= p <= big or -big <= p <= -small) and -big <= q <= big
+                and -big <= p_prev <= big and -big <= q_prev <= big):
+            mag = max(abs(p), abs(q), abs(p_prev), abs(q_prev))
+            if mag > big:
+                p *= small
+                q *= small
+                p_prev *= small
+                q_prev *= small
+            elif 0.0 < mag < small:
+                p *= big
+                q *= big
+                p_prev *= big
+                q_prev *= big
         if q == 0.0:
             continue  # undefined convergent, skip
         v = p / q
@@ -411,4 +564,6 @@ def eval_float(cf: ContinuedFraction, tol: float, max_terms: int) -> EvalReport:
             value = v
         v_prev = v
 
+    if k < max_terms:
+        return EvalReport(v_last, None, None, k, EvalStatus.TERMINATED_FINITE)
     return EvalReport(value, lower, upper, k, EvalStatus.BUDGET_EXHAUSTED)

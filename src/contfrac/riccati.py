@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import ContinuedFraction, as_fraction, eval_float, EvalStatus
+from .core import ContinuedFraction, EvalStatus, as_fraction, check_tolerance, eval_float
 
 
 class RiccatiDomainError(ValueError):
@@ -189,8 +189,7 @@ def solve_riccati(problem: RiccatiProblem, tol: float,
     (the leading correction of the fraction), local tolerance tol/10.
     The seed is certified by the x0-halving invariance test.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tolerance(tol)
     mp2 = float(problem.m) + 2.0
     ac = float(problem.a * problem.c)
     b = float(problem.b)

@@ -470,3 +470,10 @@ def test_permutation_theorem_validates_integrability():
 def test_family_listing():
     ids = family_ids()
     assert "F1" in ids and "brouncker" in ids and "golden" in ids
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
+def test_case_rejects_tolerance_that_is_not_finite_positive(tol):
+    # a NaN tolerance used to pass every bracket check and report "pass"
+    with pytest.raises(ValueError):
+        IdentityCase("brouncker", {}, tol, 50)

@@ -76,6 +76,17 @@ def test_eval_exact_lists_rational_convergents(capsys):
     assert payload["exact"] == ["1/1", "2/3", "13/15"]
 
 
+def test_eval_zero_terms_is_usage_error(capsys):
+    code, _, err = run(capsys, "eval", "--family", "brouncker", "--terms", "0")
+    assert code == EX_USAGE and "--terms" in err
+
+
+def test_eval_rejects_non_finite_tolerance(capsys):
+    for tol in ("nan", "inf", "-1e-6"):
+        code, _, err = run(capsys, "eval", "--family", "brouncker", "--tol", tol)
+        assert code == EX_USAGE and "--tol" in err
+
+
 # ------------------------------------------------------------ convert
 
 def test_convert_series_to_cf_log2(capsys):
@@ -190,6 +201,15 @@ def test_verify_manifest_unknown_param_rejected_with_position(tmp_path, capsys):
     assert "entry 0" in err and "sigma" in err
 
 
+def test_verify_manifest_nan_tolerance_exit_64(tmp_path, capsys):
+    manifest = tmp_path / "cases.json"
+    manifest.write_text(json.dumps([{"family": "brouncker", "tolerance": math.nan,
+                                     "max_terms": 50}]))
+    code, out, err = run(capsys, "verify", "--manifest", str(manifest))
+    assert code == EX_USAGE and "entry 0" in err and "tolerance" in err
+    assert out == ""
+
+
 # ------------------------------------------------------------ riccati
 
 def test_riccati_cot_case(capsys):
@@ -219,6 +239,14 @@ def test_riccati_terminating_preset_reports_depth(capsys):
                        "--m", "0", "--json")
     assert code == EX_OK
     assert json.loads(out)["terminated_depth"] == 2
+
+
+def test_riccati_zero_depth_and_nan_tolerance_are_usage_errors(capsys):
+    base = ("riccati", "--a", "1", "--b", "0", "--c", "1", "--m", "0")
+    code, _, err = run(capsys, *base, "--depth", "0")
+    assert code == EX_USAGE and "--depth" in err
+    code, _, err = run(capsys, *base, "--tol", "nan")
+    assert code == EX_USAGE and "--tol" in err
 
 
 # ------------------------------------------------------------ usage

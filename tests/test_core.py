@@ -119,6 +119,39 @@ def test_eval_renormalization_survives_huge_continuants():
     assert rep.lower <= math.pi / 4 <= rep.upper
 
 
+def reference_convergents(leading, pairs):
+    """Float convergents (None where q_k = 0), renormalised by max(abs(...)) alone."""
+    p_prev, q_prev, p, q = 1.0, 0.0, float(leading), 1.0
+    out = []
+    for b, a in pairs:
+        b, a = float(b), float(a)
+        p, p_prev = a * p + b * p_prev, p
+        q, q_prev = a * q + b * q_prev, q
+        mag = max(abs(p), abs(q), abs(p_prev), abs(q_prev))
+        scale = 2.0 ** -512 if mag > 2.0 ** 512 else 2.0 ** 512 if 0.0 < mag < 2.0 ** -512 else 1.0
+        p, q, p_prev, q_prev = p * scale, q * scale, p_prev * scale, q_prev * scale
+        out.append(p / q if q != 0.0 else None)
+    return out
+
+
+# runs of terms near 2^e, e in [-400, 400], push the continuants far past
+# 2^512 or below 2^-512, so the kernel must rescale up or down every few terms
+exponent_runs = st.integers(-400, 400).flatmap(lambda e: st.lists(
+    st.tuples(st.integers(e - 50, e + 50), st.integers(e - 50, e + 50)), min_size=2, max_size=60))
+
+
+@settings(max_examples=150, deadline=None)
+@given(exponent_runs)
+def test_eval_renormalises_in_both_directions_like_the_plain_test(exponents):
+    pairs = [(F(2) ** eb, F(2) ** ea) for eb, ea in exponents]
+    rep = eval_float(ContinuedFraction.from_pairs(1, pairs), 1e-300, len(pairs))
+    defined = [v for v in reference_convergents(1, pairs[:rep.terms_used]) if v is not None]
+    if len(defined) < 2:
+        assert rep.lower is None
+    else:
+        assert (rep.lower, rep.upper) == (min(defined[-2:]), max(defined[-2:]))
+
+
 def test_eval_divergent_flagged_for_oscillating_growth():
     # binomial-weight family at mu=3, nu=1: series terms grow linearly
     def rule(k):
@@ -325,3 +358,14 @@ def test_determinant_identity_depth_30(rng):
         prod *= t.numerator
         assert conv.p * prev_q - prev_p * conv.q == (-1) ** (k + 1) * prod
         prev_p, prev_q = conv.p, conv.q
+
+
+def test_zero_continuant_error_partial_defaults_to_empty():
+    assert ZeroContinuantError(4).partial == []
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-6])
+def test_eval_rejects_tolerance_that_is_not_finite_positive(tol):
+    cf = ContinuedFraction.from_pairs(0, [(1, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        eval_float(cf, tol, 10)

@@ -166,3 +166,12 @@ def test_domain_validation():
         RiccatiProblem(1, 0, 0, 0)
     with pytest.raises(ValueError):
         solve_riccati(RiccatiProblem(1, 0, 1, 0), 0.0)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-8])
+def test_non_finite_or_negative_tolerance_rejected(tol):
+    problem = RiccatiProblem(1, 0, 1, 0)
+    with pytest.raises(ValueError):
+        verify_riccati(problem, 80, tol)
+    with pytest.raises(ValueError):
+        solve_riccati(problem, tol)
