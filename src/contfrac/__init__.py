@@ -48,7 +48,6 @@ from .catalog import (
     VerifyStatus,
     builtin_suite,
     chain_alpha,
-    chain_metadata,
     family_ids,
     get_family,
     make_cf,

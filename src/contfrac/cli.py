@@ -8,7 +8,8 @@ Subcommands:
 * ``riccati``  compare a Riccati fraction against the integrated equation
 
 Exit codes: 0 ok / all passed, 1 verification failure, 2 budget exhausted or
-partial output, 3 divergence flagged, 64 usage error, 66 unreadable manifest.
+partial output, 3 divergence flagged, 64 usage error or a parameter point that
+cannot be evaluated, 66 unreadable manifest.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .catalog import (
-    ConstraintViolation,
     IdentityCase,
     UnknownFamilyError,
     VerificationReport,
@@ -33,6 +33,7 @@ from .catalog import (
     verify,
 )
 from .core import (
+    ContinuedFractionError,
     EvalStatus,
     ZeroContinuantError,
     check_tolerance,
@@ -41,7 +42,7 @@ from .core import (
     eval_float,
 )
 from .quadrature import QuadratureError
-from .riccati import RiccatiDomainError, RiccatiProblem, verify_riccati
+from .riccati import PoleEncounteredError, RiccatiProblem, verify_riccati
 from .series import SeriesSpec, ZeroPivotError, series_to_cf
 
 EX_OK = 0
@@ -122,7 +123,7 @@ def _build_parser() -> _Parser:
     p_s2c = conv_sub.add_parser("series-to-cf")
     p_s2c.add_argument("--numerators", required=True, help="comma-separated rationals")
     p_s2c.add_argument("--denominators", required=True, help="comma-separated rationals")
-    p_s2c.add_argument("--depth", type=int, default=None)
+    p_s2c.add_argument("--depth", type=_positive_int, default=None)
     p_s2c.add_argument("--json", action="store_true")
     p_c2s = conv_sub.add_parser("cf-to-series")
     p_c2s.add_argument("--family", required=True)
@@ -134,7 +135,7 @@ def _build_parser() -> _Parser:
     p_ver.add_argument("--manifest", default=None,
                        help="JSON manifest; defaults to the built-in catalog suite")
     p_ver.add_argument("--family", default=None, help="run only this family's cases")
-    p_ver.add_argument("--jobs", type=int, default=1)
+    p_ver.add_argument("--jobs", type=_positive_int, default=1)
 
     p_ric = sub.add_parser("riccati", help="fraction vs. integrated Riccati equation")
     p_ric.add_argument("--a", required=True)
@@ -160,12 +161,8 @@ def _cmd_eval(args) -> int:
         return EX_OK
     params = _parse_params(args.param)
     terms = args.terms if args.terms is not None else (30 if args.exact else 1_000_000)
-    try:
-        cf = make_cf(args.family, params)
-        refs = reference_value(args.family, params)
-    except (UnknownFamilyError, ConstraintViolation, ValueError, QuadratureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
+    cf = make_cf(args.family, params)
+    refs = reference_value(args.family, params)
     rep = eval_float(cf, args.tol, terms)
     exact = None
     if args.exact:
@@ -215,11 +212,7 @@ def _parse_rat_list(text: str, what: str) -> list[Fraction]:
 def _cmd_convert_s2c(args) -> int:
     nums = _parse_rat_list(args.numerators, "numerator")
     dens = _parse_rat_list(args.denominators, "denominator")
-    try:
-        spec = SeriesSpec.from_lists(nums, dens)
-        cf = series_to_cf(spec)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    cf = series_to_cf(SeriesSpec.from_lists(nums, dens))
     depth = args.depth if args.depth is not None else len(nums)
     collected = []
     partial = False
@@ -248,12 +241,7 @@ def _cmd_convert_s2c(args) -> int:
 
 
 def _cmd_convert_c2s(args) -> int:
-    params = _parse_params(args.param)
-    try:
-        cf = make_cf(args.family, params)
-    except (UnknownFamilyError, ConstraintViolation, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
+    cf = make_cf(args.family, _parse_params(args.param))
     partial = False
     warning = ""
     try:
@@ -338,11 +326,9 @@ def report_line(rep: VerificationReport) -> dict:
         "abs_error": rep.abs_error,
         "terms": rep.terms_used,
         "status": rep.status.value,
+        "eval_status": rep.eval_status.value if rep.eval_status is not None else None,
+        "detail": rep.detail,
     }
-
-
-def _verify_worker(case: IdentityCase) -> VerificationReport:
-    return verify(case)
 
 
 def _cmd_verify(args) -> int:
@@ -360,7 +346,7 @@ def _cmd_verify(args) -> int:
         cases = [c for c in cases if c.family == args.family]
     if args.jobs > 1 and len(cases) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_verify_worker, cases))
+            reports = list(pool.map(verify, cases))
     else:
         reports = [verify(c) for c in cases]
     ok = True
@@ -373,12 +359,8 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------- riccati
 
 def _cmd_riccati(args) -> int:
-    try:
-        problem = RiccatiProblem(_parse_rational(args.a), _parse_rational(args.b),
-                                 _parse_rational(args.c), _parse_rational(args.m))
-    except (RiccatiDomainError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
+    problem = RiccatiProblem(_parse_rational(args.a), _parse_rational(args.b),
+                             _parse_rational(args.c), _parse_rational(args.m))
     rep = verify_riccati(problem, args.depth, args.tol)
     verdict = "pass" if rep.passed else "fail"
     if args.json:
@@ -416,6 +398,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_riccati(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EX_USAGE
+    # a parameter point the command cannot evaluate: an unknown family or
+    # parameter, a violated constraint (a ValueError), an undefined term, a
+    # float overflow or zero division, unconverged quadrature, or an ODE pole
+    except (UnknownFamilyError, ValueError, ArithmeticError, ContinuedFractionError,
+            QuadratureError, PoleEncounteredError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from contfrac import catalog
 from contfrac.catalog import (
     ConstraintViolation,
     IdentityCase,
@@ -10,7 +11,6 @@ from contfrac.catalog import (
     VerifyStatus,
     builtin_suite,
     chain_alpha,
-    chain_metadata,
     family_ids,
     make_cf,
     permutation_theorem_check,
@@ -18,7 +18,7 @@ from contfrac.catalog import (
     reference_value,
     verify,
 )
-from contfrac.core import PositivityClass, positivity_class
+from contfrac.core import PositivityClass, eval_float, positivity_class
 from contfrac.quadrature import beta, sqrt_kernel_integral
 
 
@@ -277,6 +277,16 @@ def test_verify_unknown_family_and_params():
     assert "zz" in rep.detail
 
 
+@pytest.mark.parametrize("family, params", [
+    ("F3", {"s": F(10 ** 400)}),                                 # float(s) overflows
+    ("F5", {"f": F(10 ** 300), "h": F(10 ** 300), "r": F(1)}),   # reference divides by zero
+])
+def test_verify_reports_float_overflow_as_undefined(family, params):
+    rep = verify(IdentityCase(family, params, 1e-6, 1000))
+    assert rep.status is VerifyStatus.UNDEFINED
+    assert rep.detail
+
+
 def test_make_cf_rejects_unknown_family():
     with pytest.raises(UnknownFamilyError):
         make_cf("F99", {})
@@ -436,11 +446,19 @@ def test_chain_degenerate_s0_hits_quadratic_fixed_point():
     assert abs(val * val - (m + n) * val - kap) < 1e-8
 
 
-def test_chain_metadata_records_kappa_sign():
-    md = chain_metadata()
-    assert md["first_numerator_kappa_sign"] == "+kappa"
-    assert md["residuals"]["+kappa"] < 1e-8
-    assert md["residuals"]["-kappa"] > 100 * md["residuals"]["+kappa"]
+def test_chain_first_numerator_carries_plus_kappa():
+    # of the two readings of the first numerator's kappa sign, only +kappa
+    # satisfies the bilinear relation; chain_alpha uses it
+    m, n, s, kap = F(3, 2), F(2), F(1, 2), F(1)
+    residuals = {}
+    for sign in (1, -1):
+        alpha, beta_ = (eval_float(catalog._chain_cf(m, n, s, kap, shift, sign),
+                                   1e-11, 60_000).value for shift in (0, 1))
+        residuals[sign] = abs(alpha * beta_ - float(m) * alpha - float(n) * beta_ - float(kap))
+    assert residuals[1] < 1e-8
+    assert residuals[-1] > 100 * residuals[1]
+    assert chain_alpha(m, n, s, kap, 0, 60_000) == eval_float(
+        catalog._chain_cf(m, n, s, kap, 0, 1), 1e-11, 60_000).value
 
 
 # ------------------------------------------------------------ cross-identity checks

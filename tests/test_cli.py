@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from contfrac.cli import (
     EX_BUDGET,
     EX_DIVERGENT,
@@ -12,7 +14,7 @@ from contfrac.cli import (
 )
 
 REPORT_KEYS = {"family", "params", "value", "lower", "upper", "reference",
-               "abs_error", "terms", "status"}
+               "abs_error", "terms", "status", "eval_status", "detail"}
 
 
 def run(capsys, *argv):
@@ -104,6 +106,13 @@ def test_convert_cf_to_series_brouncker(capsys):
     assert out.strip().splitlines() == ["1", "-1/3", "1/5"]
 
 
+def test_convert_series_to_cf_depth_below_one_is_usage_error(capsys):
+    for depth in ("0", "-2"):
+        code, out, err = run(capsys, "convert", "series-to-cf", "--numerators", "1,1",
+                             "--denominators", "1,2", "--depth", depth)
+        assert code == EX_USAGE and "--depth" in err and out == ""
+
+
 def test_convert_empty_series_is_usage_error(capsys):
     code, _, err = run(capsys, "convert", "series-to-cf",
                        "--numerators", "", "--denominators", "")
@@ -142,6 +151,36 @@ def test_verify_jobs_output_is_deterministic(capsys):
     code2, out2, _ = run(capsys, "verify", "--family", "F10", "--jobs", "2")
     assert code1 == code2 == EX_OK
     assert out1 == out2
+
+
+def test_verify_jobs_below_one_is_usage_error(capsys):
+    for jobs in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "--family", "F10", "--jobs", jobs)
+        assert code == EX_USAGE and "--jobs" in err and out == ""
+
+
+def test_verify_lines_say_why_a_case_did_not_pass(tmp_path, capsys):
+    manifest = tmp_path / "cases.json"
+    manifest.write_text(json.dumps([
+        {"family": "F3", "params": {"s": 2}, "tolerance": 1e-4, "max_terms": 100000},
+        {"family": "F7", "params": {"q": 5, "r": 1, "s": 1}},
+    ]))
+    code, out, _ = run(capsys, "verify", "--manifest", str(manifest))
+    assert code == EX_FAIL
+    passed, violated = (json.loads(line) for line in out.strip().splitlines())
+    assert passed["eval_status"] == "converged" and passed["detail"] == ""
+    assert violated["status"] == "constraint-violation"
+    assert violated["eval_status"] is None and "q < r + s" in violated["detail"]
+
+
+def test_verify_manifest_overflowing_parameter_is_undefined(tmp_path, capsys):
+    manifest = tmp_path / "cases.json"
+    manifest.write_text(json.dumps([{"family": "F3", "params": {"s": "1e400"}}]))
+    code, out, err = run(capsys, "verify", "--manifest", str(manifest))
+    assert code == EX_FAIL and "Traceback" not in err
+    record = json.loads(out)
+    assert record["status"] == "undefined" and record["eval_status"] is None
+    assert "reference evaluation failed" in record["detail"]
 
 
 def test_verify_manifest_constraint_violation_exit_1(tmp_path, capsys):
@@ -247,6 +286,28 @@ def test_riccati_zero_depth_and_nan_tolerance_are_usage_errors(capsys):
     assert code == EX_USAGE and "--depth" in err
     code, _, err = run(capsys, *base, "--tol", "nan")
     assert code == EX_USAGE and "--tol" in err
+
+
+# ------------------------------------------------------------ parameter points
+
+F8_ZERO_DENOMINATOR = ("--family", "F8", "--param", "a=2", "--param", "b=2", "--param", "c=2",
+                       "--param", "r=1", "--param", "p=1", "--param", "q=1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", *F8_ZERO_DENOMINATOR),                                  # zero partial denominator
+    ("convert", "cf-to-series", *F8_ZERO_DENOMINATOR, "--depth", "3"),
+    ("eval", "--family", "F3", "--param", "s=1e400"),               # OverflowError
+    ("eval", "--family", "F5", "--param", "f=1e300", "--param", "h=1e300",
+     "--param", "r=1"),                                             # ZeroDivisionError
+    ("riccati", "--a", "1e400", "--b", "0", "--c", "1", "--m", "0"),  # OverflowError
+    ("riccati", "--a", "100", "--b", "0", "--c", "1", "--m", "0"),    # ODE pole
+], ids=["eval-zero-denominator", "c2s-zero-denominator", "eval-overflow",
+        "eval-reference-zero-division", "riccati-overflow", "riccati-pole"])
+def test_point_that_cannot_be_evaluated_exits_64(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == EX_USAGE
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # ------------------------------------------------------------ usage
