@@ -446,9 +446,9 @@ def test_chain_degenerate_s0_hits_quadratic_fixed_point():
     assert abs(val * val - (m + n) * val - kap) < 1e-8
 
 
-def test_chain_first_numerator_carries_plus_kappa():
-    # of the two readings of the first numerator's kappa sign, only +kappa
-    # satisfies the bilinear relation; chain_alpha uses it
+def test_chain_metadata_records_kappa_sign():
+    # the first numerator carries +kappa: of its two sign readings, only
+    # +kappa satisfies the bilinear relation; chain_alpha uses it
     m, n, s, kap = F(3, 2), F(2), F(1, 2), F(1)
     residuals = {}
     for sign in (1, -1):
