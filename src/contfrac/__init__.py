@@ -15,6 +15,7 @@ from .core import (
     EvalStatus,
     PartialTerm,
     PositivityClass,
+    TermUnderflowError,
     ZeroContinuantError,
     ZeroDenominatorError,
     as_fraction,

@@ -308,7 +308,7 @@ def load_manifest(path: str) -> list[IdentityCase]:
         try:
             case = IdentityCase(family, params, tolerance,
                                 int(entry.get("max_terms", 400_000)))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ManifestError(f"{where}: {exc}") from None
         cases.append(case)
     return cases
@@ -370,6 +370,7 @@ def _cmd_riccati(args) -> int:
             "abs_error": rep.abs_error,
             "terms": rep.terms_used,
             "ode_steps": rep.ode_steps,
+            "ode_est_error": rep.ode_est_error,
             "terminated_depth": rep.terminated_depth,
             "verdict": verdict,
         }))

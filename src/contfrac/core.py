@@ -44,6 +44,14 @@ class ZeroDenominatorError(ContinuedFractionError):
         super().__init__(f"partial denominator at index {index} is zero")
 
 
+class TermUnderflowError(ContinuedFractionError):
+    """A nonzero exact partial term rounded to 0.0 as a float."""
+
+    def __init__(self, index: int):
+        self.index = index
+        super().__init__(f"partial term at index {index} is nonzero but rounds to 0.0")
+
+
 class ZeroContinuantError(ContinuedFractionError):
     """A denominator continuant q_k vanished where a defined value was required.
 
@@ -195,8 +203,13 @@ class TermSpec:
         """``_float_terms`` of the exact stream, computed as N(k)/D: int true
         division rounds correctly, so each value equals ``float()`` of the
         exact term."""
-        yield from _float_terms(self.head[:max_terms])
         nb, db, na, da = self.b.ints, self.b.den, self.a.ints, self.a.den
+        if db >> 1074 or da >> 1074:
+            # N(k)/D with N(k) != 0 can round to 0.0 only when D >= 2**1074:
+            # take the exact stream, whose conversion checks every term
+            yield from _float_terms(itertools.islice(self.exact_terms(), max_terms))
+            return
+        yield from _float_terms(self.head[:max_terms])
         for k in range(len(self.head) + 1, max_terms + 1):
             n = m = 0
             for c in nb:
@@ -215,12 +228,19 @@ def _float_terms(pairs: Iterable[Tuple[Rational, Rational]]):
     """Float pairs for a stream of exact terms numbered from 1.
 
     Zero tests are exact: a zero denominator raises, a zero numerator yields
-    ``_ZERO_NUMERATOR`` (the fraction ends there).
+    ``_ZERO_NUMERATOR`` (the fraction ends there), and a nonzero term that
+    rounds to 0.0 raises ``TermUnderflowError``.
     """
     for k, (b, a) in enumerate(pairs, 1):
         if a == 0:
             raise ZeroDenominatorError(k)
-        yield (float(b), float(a)) if b != 0 else _ZERO_NUMERATOR
+        if b == 0:
+            yield _ZERO_NUMERATOR
+            continue
+        fb, fa = float(b), float(a)
+        if fb == 0.0 or fa == 0.0:
+            raise TermUnderflowError(k)
+        yield fb, fa
 
 
 @dataclass(frozen=True)

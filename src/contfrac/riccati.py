@@ -143,7 +143,18 @@ _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
 
 
 def _integrate_ck(f, t0: float, t1: float, y0: float, loc_tol: float) -> tuple[float, int, float]:
-    """Adaptive Cash-Karp step loop; error-per-unit-step acceptance."""
+    """Adaptive Cash-Karp step loop; error-per-unit-step acceptance.
+
+    One step is straight-line code over the tables above. Every weighted sum
+    runs left to right over all six stages, zero weights included, so the
+    float operations are fixed; ``sum()`` would not fix them, since it
+    compensates float sums from Python 3.12 on.
+    """
+    _, c1, c2, c3, c4, c5 = _CK_C
+    _, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
+        (a50, a51, a52, a53, a54) = _CK_A
+    p0, p1, p2, p3, p4, p5 = _CK_B5
+    q0, q1, q2, q3, q4, q5 = _CK_B4
     span = t1 - t0
     t, y = t0, y0
     h = span / 64.0
@@ -153,12 +164,14 @@ def _integrate_ck(f, t0: float, t1: float, y0: float, loc_tol: float) -> tuple[f
     while t < t1:
         if h > t1 - t:
             h = t1 - t
-        k = [f(t, y)]
-        for i in range(1, 6):
-            yi = y + h * sum(aij * kj for aij, kj in zip(_CK_A[i], k))
-            k.append(f(t + _CK_C[i] * h, yi))
-        y5 = y + h * sum(b * kj for b, kj in zip(_CK_B5, k))
-        y4 = y + h * sum(b * kj for b, kj in zip(_CK_B4, k))
+        k0 = f(t, y)
+        k1 = f(t + c1 * h, y + h * (a10 * k0))
+        k2 = f(t + c2 * h, y + h * (a20 * k0 + a21 * k1))
+        k3 = f(t + c3 * h, y + h * (a30 * k0 + a31 * k1 + a32 * k2))
+        k4 = f(t + c4 * h, y + h * (a40 * k0 + a41 * k1 + a42 * k2 + a43 * k3))
+        k5 = f(t + c5 * h, y + h * (a50 * k0 + a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4))
+        y5 = y + h * (p0 * k0 + p1 * k1 + p2 * k2 + p3 * k3 + p4 * k4 + p5 * k5)
+        y4 = y + h * (q0 * k0 + q1 * k1 + q2 * k2 + q3 * k3 + q4 * k4 + q5 * k5)
         err = abs(y5 - y4)
         allowed = loc_tol * (h / span) * max(1.0, abs(y5))
         if not math.isfinite(err) or not math.isfinite(y5):
@@ -216,6 +229,7 @@ class RiccatiReport:
     abs_error: float
     terms_used: int
     ode_steps: int
+    ode_est_error: float
     passed: bool
     terminated_depth: Optional[int] = None
 
@@ -228,4 +242,4 @@ def verify_riccati(problem: RiccatiProblem, depth: int, tol: float) -> RiccatiRe
     err = abs(rep.value - ode.w_at_1)
     depth_term = (rep.terms_used if rep.status is EvalStatus.TERMINATED_FINITE else None)
     return RiccatiReport(rep.value, ode.w_at_1, err, rep.terms_used, ode.steps,
-                         err <= tol, depth_term)
+                         ode.est_error, err <= tol, depth_term)

@@ -287,6 +287,13 @@ def test_verify_reports_float_overflow_as_undefined(family, params):
     assert rep.detail
 
 
+def test_verify_reports_underflowing_term_as_undefined():
+    # a_k = 2s is a nonzero rational that rounds to 0.0
+    rep = verify(IdentityCase("F3", {"s": F(1, 10 ** 400)}, 1e-6, 1000))
+    assert rep.status is VerifyStatus.UNDEFINED
+    assert "index 1" in rep.detail and rep.eval_status is None
+
+
 def test_make_cf_rejects_unknown_family():
     with pytest.raises(UnknownFamilyError):
         make_cf("F99", {})

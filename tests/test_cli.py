@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction as F
 
 import pytest
 
@@ -12,6 +13,7 @@ from contfrac.cli import (
     EX_USAGE,
     main,
 )
+from contfrac.riccati import RiccatiProblem, solve_riccati
 
 REPORT_KEYS = {"family", "params", "value", "lower", "upper", "reference",
                "abs_error", "terms", "status", "eval_status", "detail"}
@@ -183,6 +185,14 @@ def test_verify_manifest_overflowing_parameter_is_undefined(tmp_path, capsys):
     assert "reference evaluation failed" in record["detail"]
 
 
+@pytest.mark.parametrize("max_terms", ["1e400", '"abc"'])
+def test_verify_manifest_bad_max_terms_exit_66_with_position(tmp_path, capsys, max_terms):
+    manifest = tmp_path / "cases.json"
+    manifest.write_text(f'[{{"family": "brouncker", "max_terms": {max_terms}}}]')
+    code, _, err = run(capsys, "verify", "--manifest", str(manifest))
+    assert code == EX_NOINPUT and "manifest entry 0:" in err
+
+
 def test_verify_manifest_constraint_violation_exit_1(tmp_path, capsys):
     manifest = tmp_path / "cases.json"
     manifest.write_text(json.dumps([
@@ -267,6 +277,14 @@ def test_riccati_coth_case(capsys):
     assert abs(json.loads(out)["cf_value"] - 1.3130353) < 1e-6
 
 
+def test_riccati_json_reports_ode_error_estimate(capsys):
+    code, out, _ = run(capsys, "riccati", "--a", "1", "--b", "1/3", "--c", "1",
+                       "--m", "0", "--tol", "1e-8", "--json")
+    assert code == EX_OK
+    expected = solve_riccati(RiccatiProblem(1, F(1, 3), 1, 0), 1e-8).est_error
+    assert json.loads(out)["ode_est_error"] == expected
+
+
 def test_riccati_out_of_scope_exponent_exit_64(capsys):
     code, _, err = run(capsys, "riccati", "--a", "1", "--b", "0", "--c", "1",
                        "--m", "-3")
@@ -308,6 +326,14 @@ def test_point_that_cannot_be_evaluated_exits_64(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == EX_USAGE
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_eval_term_that_rounds_to_zero_exits_64_with_its_index(capsys):
+    # a_k = 2s is a nonzero rational that rounds to 0.0
+    code, out, err = run(capsys, "eval", "--family", "F3", "--param", "s=1e-400",
+                         "--terms", "1000")
+    assert code == EX_USAGE and out == ""
+    assert err.startswith("error:") and "index 1" in err
 
 
 # ------------------------------------------------------------ usage

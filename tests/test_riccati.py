@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +17,9 @@ from contfrac.riccati import (
     verify_riccati,
 )
 
+
+GOLDEN_ODE = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "golden_ode.json").read_text())["cases"]
 
 COT1 = 1.0 / math.tan(1.0)
 COTH1 = 1.0 / math.tanh(1.0)
@@ -137,6 +142,13 @@ def test_verify_cot_and_coth():
     assert rep.passed and abs(rep.cf_value - COTH1) < 1e-8
 
 
+def test_verify_reports_the_ode_error_estimate():
+    problem = RiccatiProblem(1, F(1, 3), 1, 0)
+    rep = verify_riccati(problem, 80, 1e-8)
+    assert rep.ode_est_error == solve_riccati(problem, 1e-8).est_error
+    assert 0 < rep.ode_est_error < 1e-8
+
+
 def test_verify_unit_drift_case():
     # a=-1, b=0, c=1, m=-1: fraction equivalent to 1 + 1/(2 + 1/(3 + 1/(4 + ...)))
     prob = RiccatiProblem(-1, 0, 1, -1)
@@ -175,3 +187,20 @@ def test_non_finite_or_negative_tolerance_rejected(tol):
         verify_riccati(problem, 80, tol)
     with pytest.raises(ValueError):
         solve_riccati(problem, tol)
+
+
+@pytest.mark.parametrize("case", GOLDEN_ODE,
+                         ids=lambda e: "{a},{b},{c},{m}-{tol}".format(**e)
+                         + (f"-x0={e['x0']}" if "x0" in e else ""))
+def test_ode_results_match_golden_file_exactly(case):
+    # every float operation of the integrator is pinned: results compare by repr
+    problem = RiccatiProblem(*(F(case[k]) for k in "abcm"))
+    x0 = float(case["x0"]) if "x0" in case else None
+    if "error" in case:
+        with pytest.raises(PoleEncounteredError) as info:
+            solve_riccati(problem, float(case["tol"]), x0)
+        assert str(info.value) == case["error"]
+        return
+    res = solve_riccati(problem, float(case["tol"]), x0)
+    assert (repr(res.w_at_1), res.steps, repr(res.est_error)) == (
+        case["w_at_1"], case["steps"], case["est_error"])

@@ -14,6 +14,8 @@ from contfrac.core import (
     ContinuedFraction,
     EvalStatus,
     Poly,
+    TermSpec,
+    TermUnderflowError,
     ZeroDenominatorError,
     eval_float,
 )
@@ -118,3 +120,21 @@ def test_zero_numerator_terminates_at_same_k(family, params, k):
     assert rep.status is EvalStatus.TERMINATED_FINITE and rep.terms_used == k
     assert rep == eval_float(generic(cf), 1e-9, 100)
 
+
+# ------------------------------------------------------------ terms that round to 0.0
+
+TINY = F(1, 2 ** 1100)   # nonzero, but below half the smallest subnormal float
+
+
+@pytest.mark.parametrize("head, b, a, index", [
+    (((TINY, 1),), 1, 1, 1),                        # head numerator
+    (((1, 1),), 1, (K - 4) ** 2 + TINY, 4),         # polynomial denominator
+    (((1, 1),), (K - 3) ** 2 + TINY, 1, 3),         # polynomial numerator
+], ids=["head-numerator", "poly-denominator", "poly-numerator"])
+def test_underflowing_term_raises_same_index_on_both_sources(head, b, a, index):
+    cf = ContinuedFraction.from_spec(TermSpec(0, head, b, a))
+    for source in (cf, generic(cf)):
+        with pytest.raises(TermUnderflowError) as exc_info:
+            eval_float(source, 1e-9, 100)
+        assert exc_info.value.index == index
+        assert f"index {index}" in str(exc_info.value)
