@@ -29,6 +29,13 @@ F12      beta = 0 limit of F11, Gaussian tail-moment reference
 
 plus fixed cases (log2, brouncker, e-euler, pi-half-a/b, ...) whose
 references are independently computed constants.
+
+Each family is one ``_register`` entry: its parameter names, its constraints,
+a ``TermSpec`` for the fraction and its reference function.  The constraints
+are an ordered tuple of inequalities in Python syntax, such as
+``("m > 0", "n > 0")``; each is compiled once and evaluated on the exact
+parameters, and the first that fails is the predicate a
+``ConstraintViolation`` names.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from types import CodeType
 from typing import Callable, Mapping, Optional, Tuple
 
 from .core import (
@@ -86,32 +94,37 @@ class UnknownFamilyError(KeyError):
 Params = Mapping[str, Fraction]
 
 
+#: constraint globals: no builtins, so a constraint sees only the parameters
+_NO_BUILTINS: dict = {"__builtins__": {}}
+
+
 @dataclass(frozen=True)
 class IdentityFamily:
     id: str
     param_names: Tuple[str, ...]
     describe: str
-    check: Callable[[Params], Optional[str]]
+    constraints: Tuple[str, ...]
     build: Callable[[Params], ContinuedFraction]
     refs: Callable[[Params, float], Tuple[float, ...]]
-    notes: str = ""
+    _compiled: Tuple[CodeType, ...] = field(init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        object.__setattr__(self, "_compiled", tuple(
+            compile(text, f"<{self.id} constraint>", "eval") for text in self.constraints))
 
-def _no_constraint(_: Params) -> Optional[str]:
-    return None
+    def check(self, P: Params) -> Optional[str]:
+        """The first constraint ``P`` violates, or None.  Order matters: an
+        earlier constraint guards a later one (F2's ``nu > 0`` before
+        ``mu/nu <= 3``)."""
+        for text, code in zip(self.constraints, self._compiled):
+            if not eval(code, _NO_BUILTINS, P):
+                return text
+        return None
 
 
 # --------------------------------------------------------------------------
 # family definitions
 # --------------------------------------------------------------------------
-
-def _f1_check(P: Params) -> Optional[str]:
-    if not P["m"] > 0:
-        return "m > 0"
-    if not P["n"] > 0:
-        return "n > 0"
-    return None
-
 
 def _f1_refs(P: Params, target: float) -> Tuple[float, ...]:
     return (reciprocal_kernel_integral(float(P["n"]), float(P["m"]), target),)
@@ -122,15 +135,6 @@ def _f1frac_refs(P: Params, target: float) -> Tuple[float, ...]:
     return (reciprocal_kernel_integral(1.0, float(P["m"]) / float(P["n"]), target),)
 
 
-def _f2_check(P: Params) -> Optional[str]:
-    for name in ("m", "n", "mu", "nu"):
-        if not P[name] > 0:
-            return f"{name} > 0"
-    if P["mu"] > 3 * P["nu"]:
-        return "mu/nu <= 3"
-    return None
-
-
 def _f2_refs(P: Params, target: float) -> Tuple[float, ...]:
     integrand = PowerBinomialIntegrand(alpha=float(P["n"]), r=float(P["m"]), beta=0.0,
                                        gamma_exp=-float(P["mu"]) / float(P["nu"]),
@@ -138,46 +142,14 @@ def _f2_refs(P: Params, target: float) -> Tuple[float, ...]:
     return (integrand.integral(target),)
 
 
-def _f3_check(P: Params) -> Optional[str]:
-    return None if P["s"] > 0 else "s > 0"
-
-
 def _f3_refs(P: Params, target: float) -> Tuple[float, ...]:
     s = float(P["s"])
     return ((s + 1.0) * sqrt_kernel_integral(s + 3.0, 2.0) / sqrt_kernel_integral(s + 1.0, 2.0),)
 
 
-def _f4_check_common(P: Params) -> Optional[str]:
-    if not P["p"] > 0:
-        return "p > 0"
-    if not P["r"] > 0:
-        return "r > 0"
-    if not P["p"] + 2 * P["q"] > 0:
-        return "p + 2q > 0"
-    return None
-
-
-def _f4_check_alt(P: Params) -> Optional[str]:
-    common = _f4_check_common(P)
-    if common:
-        return common
-    if not P["r"] > P["q"]:
-        return "r > q"
-    if not P["p"] + 2 * P["q"] - P["r"] > 0:
-        return "p + 2q - r > 0"
-    return None
-
-
 def _f4_refs(P: Params, target: float) -> Tuple[float, ...]:
     p, q, r = float(P["p"]), float(P["q"]), float(P["r"])
     return ((p + 2 * q - r) * sqrt_kernel_integral(p + 2 * q, r) / sqrt_kernel_integral(p, r),)
-
-
-def _f5_check(P: Params) -> Optional[str]:
-    for name in ("f", "h", "r"):
-        if not P[name] > 0:
-            return f"{name} > 0"
-    return None
 
 
 def _sqrt_moment_ratio_value(f: float, h: float, r: float) -> float:
@@ -228,35 +200,12 @@ def _f6_refs(P: Params, target: float) -> Tuple[float, ...]:
     return (num / den,)
 
 
-def _f7_check(P: Params) -> Optional[str]:
-    for name in ("q", "r", "s"):
-        if not P[name] > 0:
-            return f"{name} > 0"
-    if not P["r"] + P["s"] > P["q"]:
-        return "q < r + s"
-    return None
-
-
 def _f7_ref_value(q: float, r: float, s: float) -> float:
     return (q + s) * sqrt_kernel_integral(q + r + s, r) / sqrt_kernel_integral(r + s - q, r)
 
 
 def _f7_refs(P: Params, target: float) -> Tuple[float, ...]:
     return (_f7_ref_value(float(P["q"]), float(P["r"]), float(P["s"])),)
-
-
-def _f8_check(P: Params) -> Optional[str]:
-    if not P["r"] > 0:
-        return "r > 0"
-    if not P["p"] > 0:
-        return "p > 0"
-    if not P["p"] + P["q"] > 0:
-        return "p + q > 0"
-    if not P["a"] + P["b"] - P["c"] - P["r"] > 0:
-        return "a + b - c - r > 0"
-    if not P["c"] - P["b"] + P["r"] > 0:
-        return "c - b + r > 0"
-    return None
 
 
 def _f8_moment_ratio(a: float, b: float, c: float, r: float, p: float, q: float,
@@ -276,15 +225,6 @@ def _f8_refs(P: Params, target: float) -> Tuple[float, ...]:
     return (_f8_moment_ratio(*vals, target),)
 
 
-def _f9_check(P: Params) -> Optional[str]:
-    for name in ("c", "g", "r", "s"):
-        if not P[name] > 0:
-            return f"{name} > 0"
-    if not P["c"] - P["g"] + P["r"] + P["s"] > 0:
-        return "c - g + r + s > 0"
-    return None
-
-
 def _f9_refs(P: Params, target: float) -> Tuple[float, ...]:
     c, g, r, s = (float(P[k]) for k in ("c", "g", "r", "s"))
     a = (c + g + r + s) / 2.0
@@ -292,23 +232,9 @@ def _f9_refs(P: Params, target: float) -> Tuple[float, ...]:
     return (c * _f8_moment_ratio(a, b, c, r, 1.0, 1.0, target),)
 
 
-def _f10_check(P: Params) -> Optional[str]:
-    return None if P["s"] > 0 else "s > 0"
-
-
 def _f10_refs(P: Params, target: float) -> Tuple[float, ...]:
     s = float(P["s"])
     return (1.0 / (2.0 * reciprocal_kernel_integral(s + 1.0, 2.0, target)) - s,)
-
-
-def _f11_check(P: Params) -> Optional[str]:
-    for name in ("a", "alpha", "b", "beta"):
-        if not P[name] > 0:
-            return f"{name} > 0"
-    if not (P["alpha"] ** 2 + P["alpha"] * P["beta"] * P["b"]
-            > P["beta"] ** 2 * P["a"]):
-        return "alpha^2 + alpha*beta*b > beta^2*a"
-    return None
 
 
 def _f11_refs(P: Params, target: float) -> Tuple[float, ...]:
@@ -328,13 +254,6 @@ def _f11_refs(P: Params, target: float) -> Tuple[float, ...]:
         return res.value
 
     return (al / be * weighted_moment(a / al) / weighted_moment(a / al - 1.0),)
-
-
-def _f12_check(P: Params) -> Optional[str]:
-    for name in ("a", "alpha", "b"):
-        if not P[name] > 0:
-            return f"{name} > 0"
-    return None
 
 
 def _f12_refs(P: Params, target: float) -> Tuple[float, ...]:
@@ -358,108 +277,113 @@ def _golden_refs(P: Params, target: float) -> Tuple[float, ...]:
 FAMILIES: dict[str, IdentityFamily] = {}
 
 
-def _register(fid: str, param_names: Tuple[str, ...], describe: str, check,
-              spec: Callable[..., TermSpec], refs, notes: str = "") -> None:
+def _register(fid: str, param_names: Tuple[str, ...], describe: str,
+              constraints: Tuple[str, ...], spec: Callable[..., TermSpec], refs) -> None:
     """Add a family; ``spec`` maps its parameters, as keyword arguments, to a TermSpec."""
-    FAMILIES[fid] = IdentityFamily(fid, param_names, describe, check,
-                                   lambda P: ContinuedFraction.from_spec(spec(**P)), refs, notes)
+    FAMILIES[fid] = IdentityFamily(fid, param_names, describe, constraints,
+                                   lambda P: ContinuedFraction.from_spec(spec(**P)), refs)
 
+
+_F4_CONSTRAINTS = ("p > 0", "r > 0", "p + 2*q > 0")
+_F5_CONSTRAINTS = ("f > 0", "h > 0", "r > 0")
 
 # the spec table: TermSpec(leading, head terms, b(K), a(K)), K the 1-based
 # term index; the polynomials give every term after the head terms
 
 _register("F1", ("m", "n"), "x^(n-1)/(1+x^m) moment as an equal-denominator fraction",
-          _f1_check, lambda m, n: TermSpec(0, [(1, n)], ((K - 2) * m + n) ** 2, m),
+          ("m > 0", "n > 0"), lambda m, n: TermSpec(0, [(1, n)], ((K - 2) * m + n) ** 2, m),
           _f1_refs)
 _register("F1-frac", ("m", "n"), "fractional-exponent variant: dx/(1+x^(m/n))",
-          _f1_check, lambda m, n: TermSpec(0, [(1, 1), (n, m)], ((K - 2) * m + n) ** 2, m),
+          ("m > 0", "n > 0"), lambda m, n: TermSpec(0, [(1, 1), (n, m)], ((K - 2) * m + n) ** 2, m),
           _f1frac_refs)
+# mu/nu >= 2 loses the positivity certificate; integer mu with nu=1
+# oscillates divergently
 _register("F2", ("mu", "nu", "m", "n"), "binomial weight x^(n-1)(1+x^m)^(-mu/nu)",
-          _f2_check,
+          ("m > 0", "n > 0", "mu > 0", "nu > 0", "mu/nu <= 3"),
           lambda mu, nu, m, n: TermSpec(
               0, [(1, n), (mu * n * n, nu * m + (nu - mu) * n)],
               (K - 2) * nu * (mu + (K - 2) * nu) * ((K - 2) * m + n) ** 2,
               ((2 * K - 3) * nu - (K - 2) * mu) * m + (nu - mu) * n),
-          _f2_refs,
-          notes="mu/nu >= 2 loses the positivity certificate; "
-                "integer mu with nu=1 oscillates divergently")
+          _f2_refs)
 _register("F3", ("s",), "s + 1/(2s + 9/(2s + 25/(2s + ...)))",
-          _f3_check, lambda s: TermSpec(s, [], (2 * K - 1) ** 2, 2 * s), _f3_refs)
+          ("s > 0",), lambda s: TermSpec(s, [], (2 * K - 1) ** 2, 2 * s), _f3_refs)
 _register("F4-25", ("p", "q", "r"), "interpolation form anchored at p (signed when q < r)",
-          _f4_check_common,
+          _F4_CONSTRAINTS,
           lambda p, q, r: TermSpec(p, [(2 * p * (q - r), p + r)],
                                    (p + 2 * q + (K - 3) * r) * (p + (K - 1) * r), r),
           _f4_refs)
 _register("F4-25alt", ("p", "q", "r"), "all-positive rearrangement of F4-25 for r > q",
-          _f4_check_alt,
+          _F4_CONSTRAINTS + ("r > q", "p + 2*q - r > 0"),
           lambda p, q, r: TermSpec(0, [(p, 1), (2 * (r - q), p + 2 * q - r)],
                                    (p + 2 * q + (K - 4) * r) * (p + (K - 2) * r), r),
           _f4_refs)
 _register("F4-26", ("p", "q", "r"), "interpolation form with doubled partial denominators",
-          _f4_check_common,
+          _F4_CONSTRAINTS,
           lambda p, q, r: TermSpec(p + q - r, [(q * (r - q), p + q)],
                                    (p + (K - 2) * r) * (p + 2 * q + (K - 3) * r), 2 * r),
           _f4_refs)
 _register("F4-27", ("p", "q", "r"), "signed interpolation form (first numerator negative)",
-          _f4_check_common,
+          _F4_CONSTRAINTS,
           lambda p, q, r: TermSpec(p + 2 * q - r, [(-2 * q * (p + 2 * q - r), p + 2 * q)],
                                    (p + (K - 2) * r) * (p + 2 * q + (K - 2) * r), r),
           _f4_refs)
 _register("F5", ("f", "h", "r"), "r + fh/(r + (f+r)(h+r)/(r + ...)), dual references",
-          _f5_check,
+          _F5_CONSTRAINTS,
           lambda f, h, r: TermSpec(r, [], (f + (K - 1) * r) * (h + (K - 1) * r), r),
           _f5_refs)
 _register("F6", ("f", "h", "r"), "2r + fh/(2r + ...); f = h + r handled as a limit",
-          _f5_check,
+          _F5_CONSTRAINTS,
           lambda f, h, r: TermSpec(2 * r, [], (f + (K - 1) * r) * (h + (K - 1) * r), 2 * r),
           _f6_refs)
 _register("F7", ("q", "r", "s"), "s + q(r-q)/(2s + (r+q)(2r-q)/(2s + ...))",
-          _f7_check, lambda q, r, s: TermSpec(s, [], ((K - 1) * r + q) * (K * r - q), 2 * s),
+          ("q > 0", "r > 0", "s > 0", "q < r + s"),
+          lambda q, r, s: TermSpec(s, [], ((K - 1) * r + q) * (K * r - q), 2 * s),
           _f7_refs)
 _register("F8", ("a", "b", "c", "r", "p", "q"), "master family with weight (p + q x^r)",
-          _f8_check,
+          ("r > 0", "p > 0", "p + q > 0", "a + b - c - r > 0", "c - b + r > 0"),
           lambda a, b, c, r, p, q: TermSpec(
               0, [(p * (a + b - c - r), a * p - b * q)],
               p * q * (c + (K - 1) * r) * (a + b - c + (K - 2) * r),
               (a + (K - 1) * r) * p - (b + (K - 1) * r) * q),
           _f8_refs)
 _register("F9", ("c", "g", "r", "s"), "p = q = 1 specialization: equal partial denominators",
-          _f9_check,
+          ("c > 0", "g > 0", "r > 0", "s > 0", "c - g + r + s > 0"),
           lambda c, g, r, s: TermSpec(0, [], (c + (K - 1) * r) * (g + (K - 1) * r), s),
           _f9_refs)
 _register("F10", ("s",), "1/(s + 4/(s + 9/(s + 16/...))) vs arctangent moment",
-          _f10_check, lambda s: TermSpec(0, [], K * K, s), _f10_refs)
+          ("s > 0",), lambda s: TermSpec(0, [], K * K, s), _f10_refs)
 _register("F11", ("a", "alpha", "b", "beta"), "arithmetic numerators a, a+alpha, a+2 alpha, ...",
-          _f11_check,
+          ("a > 0", "alpha > 0", "b > 0", "beta > 0", "alpha**2 + alpha*beta*b > beta**2*a"),
           lambda a, alpha, b, beta: TermSpec(0, [], a + (K - 1) * alpha, b + (K - 1) * beta),
           _f11_refs)
 _register("F12", ("a", "alpha", "b"), "beta = 0 limit of F11 (constant partial denominators)",
-          _f12_check, lambda a, alpha, b: TermSpec(0, [], a + (K - 1) * alpha, b), _f12_refs)
+          ("a > 0", "alpha > 0", "b > 0"),
+          lambda a, alpha, b: TermSpec(0, [], a + (K - 1) * alpha, b), _f12_refs)
 
 # fixed cases: explicit term sequences with independently computed constants
-_register("log2", (), "1/(1 + 1/(1 + 4/(1 + 9/(1 + ...)))) = log 2", _no_constraint,
+_register("log2", (), "1/(1 + 1/(1 + 4/(1 + 9/(1 + ...)))) = log 2", (),
           lambda: TermSpec(0, [(1, 1)], (K - 1) ** 2, 1), lambda P, target: (math.log(2.0),))
-_register("brouncker", (), "1/(1 + 1/(2 + 9/(2 + 25/(2 + ...)))) = pi/4", _no_constraint,
+_register("brouncker", (), "1/(1 + 1/(2 + 9/(2 + 25/(2 + ...)))) = pi/4", (),
           lambda: TermSpec(0, [(1, 1)], (2 * K - 3) ** 2, 2), lambda P, target: (math.pi / 4.0,))
-_register("e-euler", (), "2 + 2/(2 + 3/(3 + 4/(4 + ...))) = e", _no_constraint,
+_register("e-euler", (), "2 + 2/(2 + 3/(3 + 4/(4 + ...))) = e", (),
           lambda: TermSpec(2, [(2, 2)], K + 1, K + 1), lambda P, target: (math.e,))
 _register("log2-recip", (), "2 + 1*2/(2 + 2*3/(2 + 3*4/(2 + ...))) = 1/(2 log 2 - 1)",
-          _no_constraint, lambda: TermSpec(2, [], K * (K + 1), 2),
+          (), lambda: TermSpec(2, [], K * (K + 1), 2),
           lambda P, target: (1.0 / (2.0 * math.log(2.0) - 1.0),))
-_register("pi-half-a", (), "1 + 1/(1 + 1*2/(1 + 2*3/(1 + ...))) = pi/2", _no_constraint,
+_register("pi-half-a", (), "1 + 1/(1 + 1*2/(1 + 2*3/(1 + ...))) = pi/2", (),
           lambda: TermSpec(1, [(1, 1)], (K - 1) * K, 1), lambda P, target: (math.pi / 2.0,))
 _register("pi-half-b", (), "2 - 1/(2 + 1/(2 + 4/(2 + 9/(2 + ...)))) = pi/2 (signed)",
-          _no_constraint, lambda: TermSpec(2, [(-1, 2)], (K - 1) ** 2, 2),
+          (), lambda: TermSpec(2, [(-1, 2)], (K - 1) ** 2, 2),
           lambda P, target: (math.pi / 2.0,))
 _register("three-pi-quarter-a", (), "2 + 1/(2 + 1*3/(2 + 2*4/(2 + ...))) = 3 pi/4",
-          _no_constraint, lambda: TermSpec(2, [(1, 2)], (K - 1) * (K + 1), 2),
+          (), lambda: TermSpec(2, [(1, 2)], (K - 1) * (K + 1), 2),
           lambda P, target: (0.75 * math.pi,))
 _register("three-pi-quarter-b", (), "1 + 3/(1 + 1*4/(1 + 2*5/(1 + ...))) = 3 pi/4",
-          _no_constraint, lambda: TermSpec(1, [(3, 1)], (K - 1) * (K + 2), 1),
+          (), lambda: TermSpec(1, [(3, 1)], (K - 1) * (K + 2), 1),
           lambda P, target: (0.75 * math.pi,))
+# numeric-only verification; no closed form
 _register("golden", (), "1 + 1/(2 + 4/(3 + 9/(4 + 16/(5 + ...)))), irrational-exponent preset",
-          _no_constraint, lambda: TermSpec(1, [], K * K, K + 1), _golden_refs,
-          notes="numeric-only verification; no closed form")
+          (), lambda: TermSpec(1, [], K * K, K + 1), _golden_refs)
 
 
 def family_ids() -> list[str]:

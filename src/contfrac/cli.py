@@ -75,7 +75,10 @@ def _parse_params(pairs: Sequence[str]) -> dict[str, Fraction]:
         if "=" not in pair:
             raise _UsageError(f"--param expects name=value, got {pair!r}")
         name, _, value = pair.partition("=")
-        params[name.strip()] = _parse_rational(value)
+        name = name.strip()
+        if name in params:
+            raise _UsageError(f"--param {name} given more than once")
+        params[name] = _parse_rational(value)
     return params
 
 
@@ -301,13 +304,20 @@ def load_manifest(path: str) -> list[IdentityCase]:
             raise ManifestError(f"{where}: {exc}") from None
         except (ValueError, ZeroDivisionError) as exc:
             raise ManifestError(f"{where}: {exc}") from None
+        tolerance = entry.get("tolerance", 1e-4)
         try:
-            tolerance = check_tolerance(float(entry.get("tolerance", 1e-4)), "tolerance")
+            if isinstance(tolerance, bool):  # float(true) would be a tolerance of 1.0
+                raise ValueError(f"tolerance must be a number, got {tolerance!r}")
+            tolerance = check_tolerance(float(tolerance), "tolerance")
         except (TypeError, ValueError) as exc:
             raise ManifestError(f"{where}: {exc}", EX_USAGE) from None
+        max_terms = entry.get("max_terms", 400_000)
         try:
-            case = IdentityCase(family, params, tolerance,
-                                int(entry.get("max_terms", 400_000)))
+            # int() would run 2.7 as 2 and true as 1; integral floats such as 4e5 are fine
+            if isinstance(max_terms, bool) or (isinstance(max_terms, float)
+                                               and not max_terms.is_integer()):
+                raise ValueError(f"max_terms must be an integer, got {max_terms!r}")
+            case = IdentityCase(family, params, tolerance, int(max_terms))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ManifestError(f"{where}: {exc}") from None
         cases.append(case)

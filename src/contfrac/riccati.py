@@ -104,9 +104,10 @@ def riccati_letters(problem: RiccatiProblem, count: int) -> list[Fraction]:
 
         L1 = 1/c,   L_j L_{j+1} = d_j d_{j+1} / N_j   (d_0 = 1),
 
-    where d_j = j m + 2j + 1 and N_j is the j-th partial numerator of the
-    x = 1 fraction.  The closed forms of the individual letters are checked
-    against these products in the test suite.
+    where d_j = j m + 2j + 1 is the magnitude of the j-th partial
+    denominator and N_j the j-th partial numerator of the x = 1 fraction.
+    The closed forms of the individual letters are checked against these
+    products in the test suite.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -115,8 +116,8 @@ def riccati_letters(problem: RiccatiProblem, count: int) -> list[Fraction]:
         num = _partial_numerator(problem, j)
         if num == 0:
             break
-        d_prev = (j - 1) * problem.m + 2 * (j - 1) + 1 if j > 1 else Fraction(1)
-        d_cur = j * problem.m + 2 * j + 1
+        d_prev = abs(_partial_denominator(problem, j - 1))
+        d_cur = abs(_partial_denominator(problem, j))
         letters.append(d_prev * d_cur / (num * letters[-1]))
     return letters
 

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 from fractions import Fraction as F
 
 import pytest
@@ -303,6 +305,42 @@ def test_make_cf_constraint_violation_names_predicate():
     with pytest.raises(ConstraintViolation) as exc_info:
         make_cf("F7", {"q": 5, "r": 1, "s": 1})
     assert "q < r + s" in str(exc_info.value)
+
+
+# ------------------------------------------------------------ constraints
+
+#: seeded and boundary points on a grid of small rationals, with the first
+#: violated predicate (or null) as the constraint checks returned when the
+#: checks were hand-written functions
+GOLDEN_CONSTRAINTS = json.loads((pathlib.Path(__file__).parent / "data"
+                                 / "golden_constraints.json").read_text())["points"]
+#: the three predicates whose text became the Python syntax they are evaluated in
+RENAMED_PREDICATES = {"p + 2q > 0": "p + 2*q > 0", "p + 2q - r > 0": "p + 2*q - r > 0",
+                      "alpha^2 + alpha*beta*b > beta^2*a": "alpha**2 + alpha*beta*b > beta**2*a"}
+
+
+@pytest.mark.parametrize("family", family_ids())
+def test_constraint_checks_match_golden_points(family):
+    points = [p for p in GOLDEN_CONSTRAINTS if p["family"] == family]
+    fam = catalog.get_family(family)
+    expected = [RENAMED_PREDICATES.get(p["result"], p["result"]) for p in points]
+    got = [fam.check({k: F(v) for k, v in p["params"].items()}) for p in points]
+    assert got == expected
+    # every predicate is the first failure somewhere, and some point passes
+    assert set(expected) == set(fam.constraints) | {None}
+
+
+@pytest.mark.parametrize("family", family_ids())
+def test_constraints_compile_and_name_only_family_parameters(family):
+    fam = catalog.get_family(family)
+    for text in fam.constraints:
+        assert set(compile(text, family, "eval").co_names) <= set(fam.param_names), text
+
+
+def test_constraints_see_no_builtins():
+    fam = catalog.IdentityFamily("X", ("s",), "", ("abs(s) > 0",), None, None)
+    with pytest.raises(NameError):
+        fam.check({"s": F(1)})
 
 
 def test_builtin_suite_all_pass():

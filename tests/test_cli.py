@@ -185,12 +185,19 @@ def test_verify_manifest_overflowing_parameter_is_undefined(tmp_path, capsys):
     assert "reference evaluation failed" in record["detail"]
 
 
-@pytest.mark.parametrize("max_terms", ["1e400", '"abc"'])
+@pytest.mark.parametrize("max_terms", ["1e400", '"abc"', "2.7", "true"])
 def test_verify_manifest_bad_max_terms_exit_66_with_position(tmp_path, capsys, max_terms):
     manifest = tmp_path / "cases.json"
     manifest.write_text(f'[{{"family": "brouncker", "max_terms": {max_terms}}}]')
     code, _, err = run(capsys, "verify", "--manifest", str(manifest))
     assert code == EX_NOINPUT and "manifest entry 0:" in err
+
+
+def test_verify_manifest_integral_float_max_terms_is_accepted(tmp_path, capsys):
+    manifest = tmp_path / "cases.json"
+    manifest.write_text('[{"family": "brouncker", "max_terms": 4e5}]')
+    code, out, _ = run(capsys, "verify", "--manifest", str(manifest))
+    assert code == EX_OK and json.loads(out)["status"] == "pass"
 
 
 def test_verify_manifest_constraint_violation_exit_1(tmp_path, capsys):
@@ -254,6 +261,16 @@ def test_verify_manifest_nan_tolerance_exit_64(tmp_path, capsys):
     manifest = tmp_path / "cases.json"
     manifest.write_text(json.dumps([{"family": "brouncker", "tolerance": math.nan,
                                      "max_terms": 50}]))
+    code, out, err = run(capsys, "verify", "--manifest", str(manifest))
+    assert code == EX_USAGE and "entry 0" in err and "tolerance" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("tolerance", ["true", "false"])
+def test_verify_manifest_boolean_tolerance_exit_64(tmp_path, capsys, tolerance):
+    # true used to run as a tolerance of 1.0: F3 at s=1 "passed" with [1.15, 1.5]
+    manifest = tmp_path / "cases.json"
+    manifest.write_text(f'[{{"family": "F3", "params": {{"s": 1}}, "tolerance": {tolerance}}}]')
     code, out, err = run(capsys, "verify", "--manifest", str(manifest))
     assert code == EX_USAGE and "entry 0" in err and "tolerance" in err
     assert out == ""
@@ -341,6 +358,14 @@ def test_eval_term_that_rounds_to_zero_exits_64_with_its_index(capsys):
 def test_usage_error_on_bad_rational(capsys):
     code, _, err = run(capsys, "eval", "--family", "F3", "--param", "s=one")
     assert code == EX_USAGE
+
+
+@pytest.mark.parametrize("command", [("eval",), ("convert", "cf-to-series")])
+def test_repeated_param_is_a_usage_error(capsys, command):
+    code, out, err = run(capsys, *command, "--family", "F3", "--param", "s=1",
+                         "--param", " s=2")
+    assert code == EX_USAGE and out == ""
+    assert "--param s given more than once" in err
 
 
 def test_usage_error_on_missing_subcommand(capsys):
