@@ -451,6 +451,7 @@ def reference_value(family: str, params: Mapping[str, Rational],
 class VerifyStatus(str, Enum):
     PASS = "pass"
     FAIL = "fail"
+    INCONCLUSIVE = "inconclusive"   # references inside a bracket wider than the tolerance
     DIVERGENT = "divergent"
     CONSTRAINT_VIOLATION = "constraint-violation"
     UNDEFINED = "undefined"
@@ -493,6 +494,9 @@ def verify(case: IdentityCase, target: float = REF_TARGET) -> VerificationReport
     Pass criterion: every reference lies inside the reported bracket when one
     exists, otherwise |value - reference| <= tolerance.  Dual-reference
     families must additionally agree with each other to ``DUAL_AGREEMENT``.
+    A bracket wider than the tolerance (the term budget ran out first) that
+    holds every reference is ``INCONCLUSIVE``: it shows no error, nor the
+    identity to the asked tolerance.
     """
     try:
         fam, P = _resolve(case.family, case.params)
@@ -530,6 +534,10 @@ def verify(case: IdentityCase, target: float = REF_TARGET) -> VerificationReport
         ok = all(abs(rep.value - ref) <= case.tolerance for ref in refs)
         detail = "" if ok else "absolute error above tolerance"
     status = VerifyStatus.PASS if ok else VerifyStatus.FAIL
+    if ok and rep.lower is not None and not rep.upper - rep.lower <= case.tolerance:
+        status = VerifyStatus.INCONCLUSIVE
+        detail = (f"bracket width {rep.upper - rep.lower:.3e} above tolerance "
+                  f"{case.tolerance:.1e}")
     return VerificationReport(case, status, rep.value, rep.lower, rep.upper,
                               rep.terms_used, refs, abs_error, rep.status, detail)
 

@@ -7,15 +7,17 @@ Subcommands:
 * ``verify``   run a manifest (or the built-in suite) and emit JSON lines
 * ``riccati``  compare a Riccati fraction against the integrated equation
 
-Exit codes: 0 ok / all passed, 1 verification failure, 2 budget exhausted or
-partial output, 3 divergence flagged, 64 usage error or a parameter point that
-cannot be evaluated, 66 unreadable manifest.
+Exit codes: 0 ok / all passed, 1 verification failure, 2 budget exhausted,
+partial output, or verify cases that are at worst inconclusive, 3 divergence
+flagged, 64 usage error or a parameter point that cannot be evaluated, 66
+unreadable manifest.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -25,6 +27,7 @@ from .catalog import (
     IdentityCase,
     UnknownFamilyError,
     VerificationReport,
+    VerifyStatus,
     builtin_suite,
     family_ids,
     make_cf,
@@ -355,15 +358,18 @@ def _cmd_verify(args) -> int:
             raise _UsageError(f"unknown identity family {args.family!r}")
         cases = [c for c in cases if c.family == args.family]
     if args.jobs > 1 and len(cases) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool starts all its workers at once: no more than cases or cores
+        workers = min(args.jobs, len(cases), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(verify, cases))
     else:
         reports = [verify(c) for c in cases]
-    ok = True
     for rep in reports:  # buffered: deterministic manifest order regardless of jobs
         print(json.dumps(report_line(rep)))
-        ok = ok and rep.passed
-    return EX_OK if ok else EX_FAIL
+    verdicts = {rep.status for rep in reports} - {VerifyStatus.PASS}
+    if not verdicts:
+        return EX_OK
+    return EX_BUDGET if verdicts == {VerifyStatus.INCONCLUSIVE} else EX_FAIL
 
 
 # ---------------------------------------------------------------- riccati

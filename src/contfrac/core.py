@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 Rational = Union[int, str, float, Fraction]
 
@@ -173,7 +174,13 @@ K = Poly((1, 0))
 @dataclass(frozen=True)
 class TermSpec:
     """A fraction as data: ``leading``, explicit ``head`` terms for
-    k = 1..len(head), then b_k = b(k) and a_k = a(k) for every later k."""
+    k = 1..len(head), then b_k = b(k) and a_k = a(k) for every later k.
+
+    ``exact_terms`` is the exact stream.  ``eval_float`` does not read it:
+    it takes float terms a chunk at a time from ``_spec_chunks``, which
+    equal ``float()`` of the exact terms one for one, computed as N(k)/D
+    from the integer numerator polynomial N and fixed denominator D of each
+    of b and a."""
 
     leading: Fraction
     head: Tuple[PartialTerm, ...]
@@ -199,48 +206,134 @@ class TermSpec:
                 m = m * k + c
             yield PartialTerm(n if db == 1 else Fraction(n, db), m if da == 1 else Fraction(m, da))
 
-    def float_terms(self, max_terms: int) -> Iterator[Tuple[Optional[float], Optional[float]]]:
-        """``_float_terms`` of the exact stream, computed as N(k)/D: int true
-        division rounds correctly, so each value equals ``float()`` of the
-        exact term."""
-        nb, db, na, da = self.b.ints, self.b.den, self.a.ints, self.a.den
-        if db >> 1074 or da >> 1074:
-            # N(k)/D with N(k) != 0 can round to 0.0 only when D >= 2**1074:
-            # take the exact stream, whose conversion checks every term
-            yield from _float_terms(itertools.islice(self.exact_terms(), max_terms))
-            return
-        yield from _float_terms(self.head[:max_terms])
-        for k in range(len(self.head) + 1, max_terms + 1):
-            n = m = 0
-            for c in nb:
-                n = n * k + c
-            for c in na:
-                m = m * k + c
-            if m == 0:
-                raise ZeroDenominatorError(k)
-            yield (n / db, m / da) if n else _ZERO_NUMERATOR
+
+# A float chunk is an iterable of (b_k, a_k) float pairs for consecutive k;
+# ``None`` in place of a chunk says that the next term has a zero numerator,
+# which ends the fraction.  A spec's first _LAZY_TERMS polynomial terms come
+# one at a time, so a short evaluation makes no term it does not use.  Each
+# later chunk is as long as all terms before it, up to _CHUNK_MAX, and is
+# made at once in numpy float64 where that is exact.
+_LAZY_TERMS = 128
+_CHUNK_MAX = 4096
+_F64_EXACT = 2 ** 53
 
 
-_ZERO_NUMERATOR = (None, None)
+def _exact_chunks(pairs: Iterable[Tuple[Rational, Rational]], start: int = 1):
+    """Float chunks for a stream of exact terms numbered from ``start``: the
+    whole stream as one lazy chunk, then ``None`` if it ended at a zero
+    numerator, in which case the generator returns True.
 
-
-def _float_terms(pairs: Iterable[Tuple[Rational, Rational]]):
-    """Float pairs for a stream of exact terms numbered from 1.
-
-    Zero tests are exact: a zero denominator raises, a zero numerator yields
-    ``_ZERO_NUMERATOR`` (the fraction ends there), and a nonzero term that
-    rounds to 0.0 raises ``TermUnderflowError``.
+    Zero tests are exact: a zero denominator raises ``ZeroDenominatorError``,
+    a zero numerator ends the stream, and a nonzero term that rounds to 0.0
+    raises ``TermUnderflowError``; each at the term's index, once the
+    consumer reaches it.
     """
-    for k, (b, a) in enumerate(pairs, 1):
-        if a == 0:
-            raise ZeroDenominatorError(k)
-        if b == 0:
-            yield _ZERO_NUMERATOR
-            continue
-        fb, fa = float(b), float(a)
-        if fb == 0.0 or fa == 0.0:
-            raise TermUnderflowError(k)
-        yield fb, fa
+    ended = False
+
+    def floats():
+        nonlocal ended
+        for k, (b, a) in enumerate(pairs, start):
+            if a == 0:
+                raise ZeroDenominatorError(k)
+            if b == 0:
+                ended = True
+                return
+            fb, fa = float(b), float(a)
+            if fb == 0.0 or fa == 0.0:
+                raise TermUnderflowError(k)
+            yield fb, fa
+
+    yield floats()
+    if ended:
+        yield None
+    return ended
+
+
+def _lazy_floats(spec: TermSpec, k0: int, k1: int, zero: list):
+    """(b_k, a_k) as N_b(k)/D_b and N_a(k)/D_a for k0 <= k < k1, one term at
+    a time; at the first k with N_b(k) or N_a(k) zero it appends k to
+    ``zero`` and stops.  Int true division rounds correctly, so each value
+    is float() of the exact term; one that overflows raises OverflowError
+    at its own index."""
+    nb, db, na, da = spec.b.ints, spec.b.den, spec.a.ints, spec.a.den
+    for k in range(k0, k1):
+        n = m = 0
+        for c in nb:
+            n = n * k + c
+        for c in na:
+            m = m * k + c
+        if not (n and m):
+            zero.append(k)
+            return
+        yield n / db, m / da
+
+
+def _numpy_floats(poly: Poly, k0: int, k1: int) -> Optional[list]:
+    """N(k)/D as floats for k0 <= k < k1, stopping before the first k with
+    N(k) = 0, or None unless that is exact in float64: D <= 2**53 and
+    sum |c_i| (k1-1)**i <= 2**53 keep every Horner intermediate an integer
+    float64 holds exactly, and IEEE division rounds correctly."""
+    ints, den = poly.ints, poly.den
+    if den > _F64_EXACT or sum(abs(c) * (k1 - 1) ** i
+                               for i, c in enumerate(reversed(ints))) > _F64_EXACT:
+        return None
+    if len(ints) == 1:
+        return [ints[0] / den] * (k1 - k0) if ints[0] else []
+    ks = np.arange(k0, k1, dtype=np.float64)
+    n = ks * ints[0]
+    for c in ints[1:-1]:
+        n += c
+        n *= ks
+    n += ints[-1]
+    if not n.all():
+        n = n[:np.flatnonzero(n == 0.0)[0]]
+    n /= den
+    return n.tolist()
+
+
+def _exact_term(poly: Poly, k: int) -> Exact:
+    n = 0
+    for c in poly.ints:
+        n = n * k + c
+    return n if poly.den == 1 else Fraction(n, poly.den)
+
+
+def _spec_chunks(spec: TermSpec, max_terms: int):
+    """Float chunks of the first ``max_terms`` terms of ``spec``, equal term
+    for term to ``_exact_chunks(spec.exact_terms())`` with the same errors at
+    the same indices.
+
+    Head terms come through ``_exact_chunks``, polynomial terms through
+    ``_numpy_floats`` where that is exact and ``_lazy_floats`` otherwise.
+    The first term with a zero numerator or denominator goes to
+    ``_exact_chunks``, which raises or ends the fraction there, once the
+    consumer reaches it.
+    """
+    if spec.b.den >> 1074 or spec.a.den >> 1074:
+        # N(k)/D with N(k) != 0 can round to 0.0 only when D >= 2**1074:
+        # take the exact stream, whose conversion checks every term
+        yield from _exact_chunks(itertools.islice(spec.exact_terms(), max_terms))
+        return
+    if spec.head and (yield from _exact_chunks(spec.head[:max_terms])):
+        return
+    k = len(spec.head) + 1
+    while k <= max_terms:
+        end = min(k + min(max(k - 1, _LAZY_TERMS), _CHUNK_MAX), max_terms + 1)
+        bs = as_ = None
+        if k - len(spec.head) > _LAZY_TERMS:
+            bs, as_ = _numpy_floats(spec.b, k, end), _numpy_floats(spec.a, k, end)
+        if bs is None or as_ is None:
+            zero: list = []
+            yield _lazy_floats(spec, k, end, zero)
+        else:
+            n = min(len(bs), len(as_))
+            yield zip(bs, as_)
+            zero = [k + n] if n < end - k else []
+        if zero:
+            k = zero[0]
+            yield from _exact_chunks([(_exact_term(spec.b, k), _exact_term(spec.a, k))], k)
+            return
+        k = end
 
 
 @dataclass(frozen=True)
@@ -488,6 +581,16 @@ def check_tolerance(tol: float, name: str = "tol") -> float:
     return tol
 
 
+def _estimate(lead: float, v_pp: Optional[float], v_prev: Optional[float]):
+    """(value, lower, upper) from the last two defined convergents v_pp and
+    v_prev of an all-positive fraction: the midpoint of their bracket, or the
+    one convergent there is, or the leading term."""
+    if v_pp is None:
+        return (lead if v_prev is None else v_prev), None, None
+    lo, hi = (v_pp, v_prev) if v_pp <= v_prev else (v_prev, v_pp)
+    return 0.5 * (lo + hi), lo, hi
+
+
 def eval_float(cf: ContinuedFraction, tol: float, max_terms: int) -> EvalReport:
     """Evaluate in floating point with renormalised forward recurrences.
 
@@ -504,86 +607,103 @@ def eval_float(cf: ContinuedFraction, tol: float, max_terms: int) -> EvalReport:
     term stream reports the final convergent.  Undefined convergents
     (q_k = 0) are skipped and the recurrence continues.
 
-    Terms come from the fraction's ``TermSpec`` when it has one, otherwise
-    from its exact stream; both give the same floats.
+    Float terms arrive in chunks.  A fraction with a ``TermSpec`` gets them
+    from ``_spec_chunks``: its first polynomial terms one at a time as
+    N(k)/D in Python ints, later ones a block of k at a time in numpy
+    float64 where every Horner step is an exact integer (denominator and
+    sum |c_i| k**i at most 2**53).  Any other fraction converts its exact
+    stream term by term, pulling each term only when the loop reaches it.
+    Both give ``float()`` of every exact term, and a zero, overflowing or
+    underflowing term raises or ends the fraction at its own index, only
+    once the loop reaches it.
     """
     check_tolerance(tol)
     if max_terms < 1:
         raise ValueError("max_terms must be positive")
 
+    lead = float(cf.leading)
     p_prev, q_prev = 1.0, 0.0
-    p, q = float(cf.leading), 1.0
+    p, q = lead, 1.0
     positive = True
-    v_prev: Optional[float] = None   # last defined convergent (v_0 = leading)
-    v_last = p                       # ditto, kept even when v_prev is reset
-    value = p                        # best estimate so far
-    lower: Optional[float] = None
-    upper: Optional[float] = None
+    # the last two defined convergents (v_0 = leading does not count); only
+    # v_prev is kept once a term is not positive
+    v_pp: Optional[float] = None
+    v_prev: Optional[float] = None
+    value = lead                     # the estimate, kept only once a term is not positive
+    # signed stopping: small_streak counts differences |v - v_prev| <= tol in
+    # a row; d_last is the last difference above tol, and rising counts the
+    # differences in a row since the last small one that did not shrink, so
+    # rising >= _DIVERGENCE_WINDOW - 1 says the last _DIVERGENCE_WINDOW
+    # differences never contracted
     small_streak = 0
-    diffs: deque[float] = deque(maxlen=_DIVERGENCE_WINDOW)
+    d_last: Optional[float] = None
+    rising = 0
     big, small = _RENORM_LIMIT, _RENORM_SCALE
+    nbig, nsmall, ntol = -big, -small, -tol  # negated once, not on every term
 
     if cf.spec is not None:
-        source = cf.spec.float_terms(max_terms)
+        source = _spec_chunks(cf.spec, max_terms)
     else:
-        source = _float_terms(itertools.islice(cf.factory(), max_terms))
+        source = _exact_chunks(itertools.islice(cf.factory(), max_terms))
     k = 0
-    for b, a in source:
-        k += 1
-        if b is None:
-            return EvalReport(v_last, None, None, k, EvalStatus.TERMINATED_FINITE)
-        if positive and (b <= 0.0 or a <= 0.0):
-            positive = False
-            lower = upper = None
-        p, p_prev = a * p + b * p_prev, p
-        q, q_prev = a * q + b * q_prev, q
-        # with |p| in [small, big] and the rest within big, max(...) below
-        # takes neither branch; testing that first skips five calls (NaN
-        # fails every comparison here and gets the full test)
-        if not ((small <= p <= big or -big <= p <= -small) and -big <= q <= big
-                and -big <= p_prev <= big and -big <= q_prev <= big):
-            mag = max(abs(p), abs(q), abs(p_prev), abs(q_prev))
-            if mag > big:
-                p *= small
-                q *= small
-                p_prev *= small
-                q_prev *= small
-            elif 0.0 < mag < small:
-                p *= big
-                q *= big
-                p_prev *= big
-                q_prev *= big
-        if q == 0.0:
-            continue  # undefined convergent, skip
-        v = p / q
-        v_last = v
-        if v_prev is not None:
+    for chunk in source:
+        if chunk is None:  # term k + 1 has a zero numerator
+            return EvalReport(lead if v_prev is None else v_prev, None, None, k + 1,
+                              EvalStatus.TERMINATED_FINITE)
+        for b, a in chunk:
+            k += 1
+            if positive and (b <= 0.0 or a <= 0.0):
+                positive = False
+                value = _estimate(lead, v_pp, v_prev)[0]
+            p, p_prev = a * p + b * p_prev, p
+            q, q_prev = a * q + b * q_prev, q
+            # with |p| in [small, big] and the rest within big, max(...) below
+            # takes neither branch; testing that first skips five calls (NaN
+            # fails every comparison here and gets the full test)
+            if not ((small <= p <= big or nbig <= p <= nsmall) and nbig <= q <= big
+                    and nbig <= p_prev <= big and nbig <= q_prev <= big):
+                mag = max(abs(p), abs(q), abs(p_prev), abs(q_prev))
+                if mag > big:
+                    p *= small
+                    q *= small
+                    p_prev *= small
+                    q_prev *= small
+                elif 0.0 < mag < small:
+                    p *= big
+                    q *= big
+                    p_prev *= big
+                    q_prev *= big
+            if q == 0.0:
+                continue  # undefined convergent, skip
+            v = p / q
             if positive:
-                lo, hi = (v_prev, v) if v_prev <= v else (v, v_prev)
-                lower, upper = lo, hi
-                value = 0.5 * (lo + hi)
-                if hi - lo <= tol:
-                    return EvalReport(value, lo, hi, k, EvalStatus.CONVERGED)
+                # |v - v_prev| <= tol, which is the bracket width
+                if v_prev is not None and ntol <= v - v_prev <= tol:
+                    return EvalReport(*_estimate(lead, v_prev, v), k, EvalStatus.CONVERGED)
+                v_pp = v_prev
             else:
-                d = abs(v - v_prev)
                 value = v
-                if d <= tol:
-                    small_streak += 1
-                    diffs.clear()
-                    if small_streak >= 2:
-                        return EvalReport(v, None, None, k, EvalStatus.CONVERGED)
-                else:
-                    small_streak = 0
-                    diffs.append(d)
-                    if (len(diffs) == _DIVERGENCE_WINDOW
-                            and k >= 2 * _DIVERGENCE_WINDOW
-                            and all(diffs[i + 1] >= diffs[i] * (1.0 - 1e-12)
-                                    for i in range(_DIVERGENCE_WINDOW - 1))):
-                        return EvalReport(v, None, None, k, EvalStatus.DIVERGENT)
-        else:
-            value = v
-        v_prev = v
+                if v_prev is not None:
+                    d = abs(v - v_prev)
+                    if d <= tol:
+                        small_streak += 1
+                        d_last, rising = None, 0
+                        if small_streak >= 2:
+                            return EvalReport(v, None, None, k, EvalStatus.CONVERGED)
+                    else:
+                        small_streak = 0
+                        if d_last is not None and d >= d_last * (1.0 - 1e-12):
+                            rising += 1
+                        else:
+                            rising = 0
+                        d_last = d
+                        if rising >= _DIVERGENCE_WINDOW - 1 and k >= 2 * _DIVERGENCE_WINDOW:
+                            return EvalReport(v, None, None, k, EvalStatus.DIVERGENT)
+            v_prev = v
 
     if k < max_terms:
-        return EvalReport(v_last, None, None, k, EvalStatus.TERMINATED_FINITE)
-    return EvalReport(value, lower, upper, k, EvalStatus.BUDGET_EXHAUSTED)
+        return EvalReport(lead if v_prev is None else v_prev, None, None, k,
+                          EvalStatus.TERMINATED_FINITE)
+    if positive:
+        return EvalReport(*_estimate(lead, v_pp, v_prev), k, EvalStatus.BUDGET_EXHAUSTED)
+    return EvalReport(value, None, None, k, EvalStatus.BUDGET_EXHAUSTED)

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from contfrac import cli
 from contfrac.cli import (
     EX_BUDGET,
     EX_DIVERGENT,
@@ -155,6 +156,40 @@ def test_verify_jobs_output_is_deterministic(capsys):
     assert out1 == out2
 
 
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, cores, want", [
+    ("64", 2, 2),        # more jobs than cores
+    ("64", None, 1),     # core count unknown
+    ("64", 16, 3),       # more jobs than cases
+    ("2", 16, 2),
+])
+def test_verify_pool_starts_no_more_workers_than_cases_or_cores(capsys, monkeypatch,
+                                                                jobs, cores, want):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    SerialPool.created.clear()
+    code, out, _ = run(capsys, "verify", "--family", "F10", "--jobs", jobs)
+    assert code == EX_OK and len(out.strip().splitlines()) == 3
+    assert SerialPool.created == [want]
+
+
 def test_verify_jobs_below_one_is_usage_error(capsys):
     for jobs in ("0", "-3"):
         code, out, err = run(capsys, "verify", "--family", "F10", "--jobs", jobs)
@@ -198,6 +233,33 @@ def test_verify_manifest_integral_float_max_terms_is_accepted(tmp_path, capsys):
     manifest.write_text('[{"family": "brouncker", "max_terms": 4e5}]')
     code, out, _ = run(capsys, "verify", "--manifest", str(manifest))
     assert code == EX_OK and json.loads(out)["status"] == "pass"
+
+
+def test_verify_bracket_wider_than_tolerance_is_inconclusive_exit_2(tmp_path, capsys):
+    manifest = tmp_path / "cases.json"
+    manifest.write_text(json.dumps([
+        {"family": "F3", "params": {"s": 2}, "tolerance": 1e-4, "max_terms": 100000},
+        {"family": "F3", "params": {"s": 1}, "max_terms": 12},
+    ]))
+    code, out, _ = run(capsys, "verify", "--manifest", str(manifest))
+    assert code == EX_BUDGET
+    passed, record = (json.loads(line) for line in out.strip().splitlines())
+    assert passed["status"] == "pass"
+    assert record["status"] == "inconclusive" and record["eval_status"] == "budget-exhausted"
+    assert record["lower"] <= record["reference"] <= record["upper"]
+    assert record["upper"] - record["lower"] > 1e-4 and "above tolerance" in record["detail"]
+
+
+def test_verify_failure_outranks_inconclusive(tmp_path, capsys):
+    manifest = tmp_path / "cases.json"
+    manifest.write_text(json.dumps([
+        {"family": "F3", "params": {"s": 1}, "max_terms": 12},
+        {"family": "F7", "params": {"q": 5, "r": 1, "s": 1}},
+    ]))
+    code, out, _ = run(capsys, "verify", "--manifest", str(manifest))
+    assert code == EX_FAIL
+    assert [json.loads(line)["status"] for line in out.strip().splitlines()] == [
+        "inconclusive", "constraint-violation"]
 
 
 def test_verify_manifest_constraint_violation_exit_1(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Term specs: exact streams, the float kernel's two term sources, zero terms."""
 
+import itertools
 import json
 import pathlib
 from fractions import Fraction as F
@@ -12,16 +13,26 @@ from contfrac import catalog
 from contfrac.core import (
     K,
     ContinuedFraction,
+    ContinuedFractionError,
+    EvalReport,
     EvalStatus,
     Poly,
     TermSpec,
     TermUnderflowError,
     ZeroDenominatorError,
+    _exact_chunks,
+    _spec_chunks,
     eval_float,
 )
 from test_catalog import _family_samplers
 
-GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "golden_terms.json").read_text())
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "golden_terms.json").read_text())
+# EvalReports recorded with the per-term float source, before float terms
+# were made a chunk at a time: the 41 suite fractions at their tolerance and
+# at budgets on both sides of chunk edges, signed and divergent points, zero
+# numerators and denominators, underflow, overflow and large coefficients
+GOLDEN_EVAL = json.loads((DATA / "golden_eval.json").read_text())["cases"]
 
 
 def generic(cf):
@@ -76,6 +87,39 @@ def test_chain_spec_streams_reproduce_golden_terms(entry):
 
 
 # ------------------------------------------------------------ bit-identical evaluation
+
+def golden_poly(ints_den):
+    ints, den = ints_den
+    return Poly(tuple(int(c) for c in ints), int(den))
+
+
+def golden_cf(entry):
+    if "family" in entry:
+        return catalog.make_cf(entry["family"], {k: F(v) for k, v in entry["params"].items()})
+    s = entry["spec"]
+    return ContinuedFraction.from_spec(TermSpec(
+        F(s["leading"]), tuple((F(b), F(a)) for b, a in s["head"]),
+        golden_poly(s["b"]), golden_poly(s["a"])))
+
+
+def report_repr(cf, tol, n):
+    try:
+        rep = eval_float(cf, tol, n)
+    except (ContinuedFractionError, ArithmeticError) as exc:
+        return [type(exc).__name__, getattr(exc, "index", None)]
+    return [repr(rep.value), repr(rep.lower), repr(rep.upper), rep.terms_used, rep.status.value]
+
+
+@pytest.mark.parametrize("entry", GOLDEN_EVAL,
+                         ids=lambda e: e.get("family", "spec") + f"-{e['tol']}")
+def test_eval_reports_match_golden_file(entry):
+    cf, tol = golden_cf(entry), float(entry["tol"])
+    assert [report_repr(cf, tol, n) for n in entry["max_terms"]] == entry["reports"]
+    for n, want in zip(entry["max_terms"], entry["reports"]):
+        if want[-1] == "converged" and want[-2] > 5000:
+            continue  # the exact stream is slow that far out
+        assert report_repr(generic(cf), tol, n) == want
+
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(_family_samplers())), st.randoms(use_true_random=False),
@@ -138,3 +182,68 @@ def test_underflowing_term_raises_same_index_on_both_sources(head, b, a, index):
             eval_float(source, 1e-9, 100)
         assert exc_info.value.index == index
         assert f"index {index}" in str(exc_info.value)
+
+
+# ------------------------------------------------------------ the chunked float source
+
+def flat(chunks):
+    """Float pairs of a chunk stream, then how it ended: a zero numerator or
+    an error with its index."""
+    out = []
+    try:
+        for chunk in chunks:
+            if chunk is None:
+                out.append("zero numerator")
+                break
+            out.extend(chunk)
+    except (ContinuedFractionError, ArithmeticError) as exc:
+        out.append((type(exc).__name__, getattr(exc, "index", None)))
+    return out
+
+
+EDGES = [1, 2, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257]
+coefficients = st.one_of(
+    st.integers(-30, 30),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.sampled_from([2 ** 53, 2 ** 53 + 1, -(2 ** 53), 2 ** 37, 2 ** 37 + 1, 2 ** 25, 10 ** 300]),
+)
+denominators = st.one_of(st.integers(1, 12), st.sampled_from([2 ** 53, 2 ** 53 + 1, 3 ** 40, 2 ** 1080]))
+
+
+@st.composite
+def polys(draw):
+    p = Poly(tuple(draw(st.lists(coefficients, min_size=1, max_size=4))), draw(denominators))
+    for root in draw(st.lists(st.sampled_from(EDGES), max_size=2)):  # zeros at chunk edges
+        p = p * (K - root)
+    return p
+
+
+@st.composite
+def specs(draw):
+    head = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=3))
+    return TermSpec(draw(st.integers(-2, 2)), tuple(head), draw(polys()), draw(polys()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs(), st.integers(1, 600))
+def test_chunked_floats_equal_the_exact_stream_term_for_term(spec, n):
+    want = flat(_exact_chunks(itertools.islice(spec.exact_terms(), n)))
+    got = flat(_spec_chunks(spec, n))
+    assert got == want
+    assert [repr(x) for x in got] == [repr(x) for x in want]  # signs of zero too
+
+
+@pytest.mark.parametrize("j", [17, 129, 200, 500, 512, 1000])
+def test_a_zero_denominator_raises_only_when_the_loop_reaches_it(j):
+    # a_j = 0 in a slowly converging fraction: by the tolerance the
+    # evaluation stops before j or reaches it.  For j = 500 and 512 it can
+    # stop at k = 267-294, inside the chunk of indices 257-512 that was made
+    # at once and holds j.  The generic source converts one term at a time.
+    cf = ContinuedFraction.from_spec(TermSpec(0, (), (2 * K - 1) ** 2,
+                                              (K - j) * (K - j) * F(2, j * j)))
+    outcomes = [outcome(cf, tol, 5000) for tol in (1e-2, 9e-3, 8e-3, 7.5e-3, 7e-3, 3e-3)]
+    assert outcomes == [outcome(generic(cf), tol, 5000)
+                        for tol in (1e-2, 9e-3, 8e-3, 7.5e-3, 7e-3, 3e-3)]
+    if j in (500, 512):
+        assert ("zero denominator", j) in outcomes
+        assert any(isinstance(o, EvalReport) and 256 < o.terms_used < j for o in outcomes)
