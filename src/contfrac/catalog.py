@@ -496,7 +496,9 @@ def verify(case: IdentityCase, target: float = REF_TARGET) -> VerificationReport
     families must additionally agree with each other to ``DUAL_AGREEMENT``.
     A bracket wider than the tolerance (the term budget ran out first) that
     holds every reference is ``INCONCLUSIVE``: it shows no error, nor the
-    identity to the asked tolerance.
+    identity to the asked tolerance.  So is a value within the tolerance of
+    every reference from an evaluation whose budget ran out with no bracket:
+    the last difference says nothing of how far the limit is.
     """
     try:
         fam, P = _resolve(case.family, case.params)
@@ -538,6 +540,9 @@ def verify(case: IdentityCase, target: float = REF_TARGET) -> VerificationReport
         status = VerifyStatus.INCONCLUSIVE
         detail = (f"bracket width {rep.upper - rep.lower:.3e} above tolerance "
                   f"{case.tolerance:.1e}")
+    elif ok and rep.lower is None and rep.status is EvalStatus.BUDGET_EXHAUSTED:
+        status = VerifyStatus.INCONCLUSIVE
+        detail = "term budget exhausted without a bracket"
     return VerificationReport(case, status, rep.value, rep.lower, rep.upper,
                               rep.terms_used, refs, abs_error, rep.status, detail)
 

@@ -180,7 +180,8 @@ class TermSpec:
     it takes float terms a chunk at a time from ``_spec_chunks``, which
     equal ``float()`` of the exact terms one for one, computed as N(k)/D
     from the integer numerator polynomial N and fixed denominator D of each
-    of b and a."""
+    of b and a.  A zero N(k) raises at index k, as the checked exact stream
+    does: a zero denominator first, else the fraction ends there."""
 
     leading: Fraction
     head: Tuple[PartialTerm, ...]
@@ -207,54 +208,49 @@ class TermSpec:
             yield PartialTerm(n if db == 1 else Fraction(n, db), m if da == 1 else Fraction(m, da))
 
 
-# A float chunk is an iterable of (b_k, a_k) float pairs for consecutive k;
-# ``None`` in place of a chunk says that the next term has a zero numerator,
-# which ends the fraction.  A spec's first _LAZY_TERMS polynomial terms come
-# one at a time, so a short evaluation makes no term it does not use.  Each
-# later chunk is as long as all terms before it, up to _CHUNK_MAX, and is
-# made at once in numpy float64 where that is exact.
+# A float chunk is an iterable of (b_k, a_k) float pairs for consecutive k.
+# A spec's first _LAZY_TERMS polynomial terms come one at a time, so a short
+# evaluation makes no term it does not use.  Each later chunk is as long as
+# all terms before it, up to _CHUNK_MAX, and is made at once in numpy float64
+# where that is exact.
 _LAZY_TERMS = 128
 _CHUNK_MAX = 4096
 _F64_EXACT = 2 ** 53
 
 
-def _exact_chunks(pairs: Iterable[Tuple[Rational, Rational]], start: int = 1):
-    """Float chunks for a stream of exact terms numbered from ``start``: the
-    whole stream as one lazy chunk, then ``None`` if it ended at a zero
-    numerator, in which case the generator returns True.
-
-    Zero tests are exact: a zero denominator raises ``ZeroDenominatorError``,
-    a zero numerator ends the stream, and a nonzero term that rounds to 0.0
-    raises ``TermUnderflowError``; each at the term's index, once the
-    consumer reaches it.
-    """
-    ended = False
-
-    def floats():
-        nonlocal ended
-        for k, (b, a) in enumerate(pairs, start):
-            if a == 0:
-                raise ZeroDenominatorError(k)
-            if b == 0:
-                ended = True
-                return
-            fb, fa = float(b), float(a)
-            if fb == 0.0 or fa == 0.0:
-                raise TermUnderflowError(k)
-            yield fb, fa
-
-    yield floats()
-    if ended:
-        yield None
-    return ended
+class _EndOfFraction(Exception):
+    """The term whose index is the argument has a zero partial numerator,
+    which ends the fraction before it; ``eval_float`` catches this."""
 
 
-def _lazy_floats(spec: TermSpec, k0: int, k1: int, zero: list):
+def _zero_term(b: Rational, a: Rational, k: int):
+    """Raise for term k, whose numerator or denominator is zero: a zero
+    denominator leaves the fraction undefined, else the zero numerator ends it."""
+    if a == 0:
+        raise ZeroDenominatorError(k)
+    raise _EndOfFraction(k)
+
+
+def _checked_floats(pairs: Iterable[Tuple[Rational, Rational]]):
+    """(float(b_k), float(a_k)) for a stream of exact terms numbered from 1,
+    one at a time.  A zero term raises through ``_zero_term`` and a nonzero
+    term that rounds to 0.0 raises ``TermUnderflowError``, each at the term's
+    index once the consumer reaches it."""
+    for k, (b, a) in enumerate(pairs, 1):
+        if not (b and a):
+            _zero_term(b, a, k)
+        fb, fa = float(b), float(a)
+        if fb == 0.0 or fa == 0.0:
+            raise TermUnderflowError(k)
+        yield fb, fa
+
+
+def _lazy_floats(spec: TermSpec, k0: int, k1: int):
     """(b_k, a_k) as N_b(k)/D_b and N_a(k)/D_a for k0 <= k < k1, one term at
-    a time; at the first k with N_b(k) or N_a(k) zero it appends k to
-    ``zero`` and stops.  Int true division rounds correctly, so each value
-    is float() of the exact term; one that overflows raises OverflowError
-    at its own index."""
+    a time; the first k with N_b(k) or N_a(k) zero raises through
+    ``_zero_term``.  Int true division rounds correctly, so each value is
+    float() of the exact term; one that overflows raises OverflowError at its
+    own index."""
     nb, db, na, da = spec.b.ints, spec.b.den, spec.a.ints, spec.a.den
     for k in range(k0, k1):
         n = m = 0
@@ -263,8 +259,7 @@ def _lazy_floats(spec: TermSpec, k0: int, k1: int, zero: list):
         for c in na:
             m = m * k + c
         if not (n and m):
-            zero.append(k)
-            return
+            _zero_term(n, m, k)
         yield n / db, m / da
 
 
@@ -291,31 +286,24 @@ def _numpy_floats(poly: Poly, k0: int, k1: int) -> Optional[list]:
     return n.tolist()
 
 
-def _exact_term(poly: Poly, k: int) -> Exact:
-    n = 0
-    for c in poly.ints:
-        n = n * k + c
-    return n if poly.den == 1 else Fraction(n, poly.den)
-
-
 def _spec_chunks(spec: TermSpec, max_terms: int):
     """Float chunks of the first ``max_terms`` terms of ``spec``, equal term
-    for term to ``_exact_chunks(spec.exact_terms())`` with the same errors at
-    the same indices.
+    for term to ``_checked_floats(spec.exact_terms())`` with the same errors
+    at the same indices.
 
-    Head terms come through ``_exact_chunks``, polynomial terms through
+    Head terms come through ``_checked_floats``, polynomial terms through
     ``_numpy_floats`` where that is exact and ``_lazy_floats`` otherwise.
-    The first term with a zero numerator or denominator goes to
-    ``_exact_chunks``, which raises or ends the fraction there, once the
+    A numpy chunk stops before its first zero term; the rest of that chunk
+    then comes from ``_lazy_floats``, which raises at the zero term once the
     consumer reaches it.
     """
     if spec.b.den >> 1074 or spec.a.den >> 1074:
         # N(k)/D with N(k) != 0 can round to 0.0 only when D >= 2**1074:
         # take the exact stream, whose conversion checks every term
-        yield from _exact_chunks(itertools.islice(spec.exact_terms(), max_terms))
+        yield _checked_floats(itertools.islice(spec.exact_terms(), max_terms))
         return
-    if spec.head and (yield from _exact_chunks(spec.head[:max_terms])):
-        return
+    if spec.head:
+        yield _checked_floats(spec.head[:max_terms])
     k = len(spec.head) + 1
     while k <= max_terms:
         end = min(k + min(max(k - 1, _LAZY_TERMS), _CHUNK_MAX), max_terms + 1)
@@ -323,16 +311,12 @@ def _spec_chunks(spec: TermSpec, max_terms: int):
         if k - len(spec.head) > _LAZY_TERMS:
             bs, as_ = _numpy_floats(spec.b, k, end), _numpy_floats(spec.a, k, end)
         if bs is None or as_ is None:
-            zero: list = []
-            yield _lazy_floats(spec, k, end, zero)
+            yield _lazy_floats(spec, k, end)
         else:
             n = min(len(bs), len(as_))
             yield zip(bs, as_)
-            zero = [k + n] if n < end - k else []
-        if zero:
-            k = zero[0]
-            yield from _exact_chunks([(_exact_term(spec.b, k), _exact_term(spec.a, k))], k)
-            return
+            if k + n < end:
+                yield _lazy_floats(spec, k + n, end)
         k = end
 
 
@@ -613,9 +597,11 @@ def eval_float(cf: ContinuedFraction, tol: float, max_terms: int) -> EvalReport:
     float64 where every Horner step is an exact integer (denominator and
     sum |c_i| k**i at most 2**53).  Any other fraction converts its exact
     stream term by term, pulling each term only when the loop reaches it.
-    Both give ``float()`` of every exact term, and a zero, overflowing or
-    underflowing term raises or ends the fraction at its own index, only
-    once the loop reaches it.
+    Both give ``float()`` of every exact term.  A term that is zero,
+    overflows or underflows raises where its source meets it, at its own
+    index and only once the loop reaches it: a zero denominator raises
+    ``ZeroDenominatorError``, and a zero numerator raises a private
+    exception that this loop catches to report the fraction finite.
     """
     check_tolerance(tol)
     if max_terms < 1:
@@ -644,62 +630,63 @@ def eval_float(cf: ContinuedFraction, tol: float, max_terms: int) -> EvalReport:
     if cf.spec is not None:
         source = _spec_chunks(cf.spec, max_terms)
     else:
-        source = _exact_chunks(itertools.islice(cf.factory(), max_terms))
+        source = (_checked_floats(itertools.islice(cf.factory(), max_terms)),)
     k = 0
-    for chunk in source:
-        if chunk is None:  # term k + 1 has a zero numerator
-            return EvalReport(lead if v_prev is None else v_prev, None, None, k + 1,
-                              EvalStatus.TERMINATED_FINITE)
-        for b, a in chunk:
-            k += 1
-            if positive and (b <= 0.0 or a <= 0.0):
-                positive = False
-                value = _estimate(lead, v_pp, v_prev)[0]
-            p, p_prev = a * p + b * p_prev, p
-            q, q_prev = a * q + b * q_prev, q
-            # with |p| in [small, big] and the rest within big, max(...) below
-            # takes neither branch; testing that first skips five calls (NaN
-            # fails every comparison here and gets the full test)
-            if not ((small <= p <= big or nbig <= p <= nsmall) and nbig <= q <= big
-                    and nbig <= p_prev <= big and nbig <= q_prev <= big):
-                mag = max(abs(p), abs(q), abs(p_prev), abs(q_prev))
-                if mag > big:
-                    p *= small
-                    q *= small
-                    p_prev *= small
-                    q_prev *= small
-                elif 0.0 < mag < small:
-                    p *= big
-                    q *= big
-                    p_prev *= big
-                    q_prev *= big
-            if q == 0.0:
-                continue  # undefined convergent, skip
-            v = p / q
-            if positive:
-                # |v - v_prev| <= tol, which is the bracket width
-                if v_prev is not None and ntol <= v - v_prev <= tol:
-                    return EvalReport(*_estimate(lead, v_prev, v), k, EvalStatus.CONVERGED)
-                v_pp = v_prev
-            else:
-                value = v
-                if v_prev is not None:
-                    d = abs(v - v_prev)
-                    if d <= tol:
-                        small_streak += 1
-                        d_last, rising = None, 0
-                        if small_streak >= 2:
-                            return EvalReport(v, None, None, k, EvalStatus.CONVERGED)
-                    else:
-                        small_streak = 0
-                        if d_last is not None and d >= d_last * (1.0 - 1e-12):
-                            rising += 1
+    try:
+        for chunk in source:
+            for b, a in chunk:
+                k += 1
+                if positive and (b <= 0.0 or a <= 0.0):
+                    positive = False
+                    value = _estimate(lead, v_pp, v_prev)[0]
+                p, p_prev = a * p + b * p_prev, p
+                q, q_prev = a * q + b * q_prev, q
+                # with |p| in [small, big] and the rest within big, max(...) below
+                # takes neither branch; testing that first skips five calls (NaN
+                # fails every comparison here and gets the full test)
+                if not ((small <= p <= big or nbig <= p <= nsmall) and nbig <= q <= big
+                        and nbig <= p_prev <= big and nbig <= q_prev <= big):
+                    mag = max(abs(p), abs(q), abs(p_prev), abs(q_prev))
+                    if mag > big:
+                        p *= small
+                        q *= small
+                        p_prev *= small
+                        q_prev *= small
+                    elif 0.0 < mag < small:
+                        p *= big
+                        q *= big
+                        p_prev *= big
+                        q_prev *= big
+                if q == 0.0:
+                    continue  # undefined convergent, skip
+                v = p / q
+                if positive:
+                    # |v - v_prev| <= tol, which is the bracket width
+                    if v_prev is not None and ntol <= v - v_prev <= tol:
+                        return EvalReport(*_estimate(lead, v_prev, v), k, EvalStatus.CONVERGED)
+                    v_pp = v_prev
+                else:
+                    value = v
+                    if v_prev is not None:
+                        d = abs(v - v_prev)
+                        if d <= tol:
+                            small_streak += 1
+                            d_last, rising = None, 0
+                            if small_streak >= 2:
+                                return EvalReport(v, None, None, k, EvalStatus.CONVERGED)
                         else:
-                            rising = 0
-                        d_last = d
-                        if rising >= _DIVERGENCE_WINDOW - 1 and k >= 2 * _DIVERGENCE_WINDOW:
-                            return EvalReport(v, None, None, k, EvalStatus.DIVERGENT)
-            v_prev = v
+                            small_streak = 0
+                            if d_last is not None and d >= d_last * (1.0 - 1e-12):
+                                rising += 1
+                            else:
+                                rising = 0
+                            d_last = d
+                            if rising >= _DIVERGENCE_WINDOW - 1 and k >= 2 * _DIVERGENCE_WINDOW:
+                                return EvalReport(v, None, None, k, EvalStatus.DIVERGENT)
+                v_prev = v
+    except _EndOfFraction:  # term k + 1 has a zero numerator
+        return EvalReport(lead if v_prev is None else v_prev, None, None, k + 1,
+                          EvalStatus.TERMINATED_FINITE)
 
     if k < max_terms:
         return EvalReport(lead if v_prev is None else v_prev, None, None, k,

@@ -267,6 +267,18 @@ def test_verify_bracket_wider_than_tolerance_is_inconclusive():
     assert "above tolerance 1.0e-08" in rep.detail
 
 
+def test_verify_budget_exhausted_without_bracket_is_inconclusive():
+    # pi-half-b is signed: no bracket, and after 50 terms its value is
+    # within 1e-4 of pi/2 only by the luck of where the budget fell
+    rep = verify(IdentityCase("pi-half-b", {}, 1e-4, 50))
+    assert rep.eval_status is EvalStatus.BUDGET_EXHAUSTED and rep.lower is None
+    assert rep.abs_error <= 1e-4
+    assert rep.status is VerifyStatus.INCONCLUSIVE and not rep.passed
+    assert rep.detail == "term budget exhausted without a bracket"
+    rep = verify(IdentityCase("pi-half-b", {}, 1e-6, 50))
+    assert rep.status is VerifyStatus.FAIL and rep.detail == "absolute error above tolerance"
+
+
 def test_verify_f2_mu3_is_divergent():
     rep = verify(IdentityCase("F2", {"mu": F(3), "nu": F(1), "m": F(1), "n": F(1)},
                               1e-6, 10 ** 5))

@@ -1,10 +1,14 @@
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contfrac import cli
+from contfrac import catalog, cli
 from contfrac.cli import (
     EX_BUDGET,
     EX_DIVERGENT,
@@ -250,6 +254,17 @@ def test_verify_bracket_wider_than_tolerance_is_inconclusive_exit_2(tmp_path, ca
     assert record["upper"] - record["lower"] > 1e-4 and "above tolerance" in record["detail"]
 
 
+def test_verify_budget_exhausted_without_bracket_is_inconclusive_exit_2(tmp_path, capsys):
+    manifest = tmp_path / "cases.json"
+    manifest.write_text(json.dumps([{"family": "pi-half-b", "tolerance": 1e-4, "max_terms": 50}]))
+    code, out, _ = run(capsys, "verify", "--manifest", str(manifest))
+    assert code == EX_BUDGET
+    record = json.loads(out)
+    assert record["status"] == "inconclusive" and record["eval_status"] == "budget-exhausted"
+    assert record["lower"] is None and record["abs_error"] <= 1e-4
+    assert record["detail"] == "term budget exhausted without a bracket"
+
+
 def test_verify_failure_outranks_inconclusive(tmp_path, capsys):
     manifest = tmp_path / "cases.json"
     manifest.write_text(json.dumps([
@@ -433,3 +448,143 @@ def test_repeated_param_is_a_usage_error(capsys, command):
 def test_usage_error_on_missing_subcommand(capsys):
     code, _, err = run(capsys)
     assert code == EX_USAGE
+
+
+# ------------------------------------------------------------ every input ends in an exit code
+
+DOCUMENTED_EXITS = {EX_OK, EX_FAIL, EX_BUDGET, EX_DIVERGENT, EX_USAGE, EX_NOINPUT}
+# every term budget drawn here is at most 2000: `eval` always gets --terms
+# (its default is 10**6) and `verify` always a manifest whose entries give
+# max_terms (the built-in suite and the manifest default run 400,000); no
+# --jobs above 1, so no worker process starts
+FAMILIES = st.sampled_from(catalog.family_ids() + ["F99", ""])
+PARAM_NAMES = sorted({n for f in catalog.family_ids() for n in catalog.get_family(f).param_names}
+                     | {"zz"})
+GOOD = st.builds(lambda n, d: f"{n}/{d}", st.integers(1, 9), st.integers(1, 4))
+RATIONALS = st.one_of(GOOD, st.integers(-6, 6).map(str), st.sampled_from(
+    ["-1/2", "1/0", "0.5", "1e400", "1e-400", "nan", "inf", "abc", "", " 2 "]))
+TOLERANCES = st.one_of(st.sampled_from(["1e-2", "1e-6", "1e-10"]), st.sampled_from(
+    ["1e-300", "0", "-1e-6", "nan", "inf", "abc"]), st.floats().map(repr))
+EXTRA = st.sampled_from([()] * 6 + [("--help",), ("-h",), ("--json",), ("--bogus",),
+                                    ("--terms",), ("x",)])
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3),
+                 st.sampled_from([float("nan"), float("inf"), -float("inf"), 2.5, 0.0, -1.0]),
+                 st.lists(st.integers(0, 2), max_size=2),
+                 st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2))
+
+
+@st.composite
+def points(draw):
+    """A family id and parameters: three in four a full set of positive
+    rationals, the rest any values, with names dropped or added."""
+    family = draw(FAMILIES)
+    names = catalog.get_family(family).param_names if family in catalog.family_ids() else ()
+    if draw(st.integers(0, 3)):
+        return family, {n: draw(GOOD) for n in names}
+    params = {n: draw(RATIONALS) for n in names if draw(st.integers(0, 3))}
+    return family, {**params, **draw(st.dictionaries(st.sampled_from(PARAM_NAMES), RATIONALS,
+                                                     max_size=1))}
+
+
+@st.composite
+def params_argv(draw):
+    family, params = draw(points())
+    return ["--family", family, *(f"--param={n}={v}" for n, v in params.items())]
+
+
+@st.composite
+def eval_argv(draw):
+    exact = draw(st.booleans())
+    terms = draw(st.integers(-1, 100 if exact else 2000))
+    argv = ["eval", *draw(st.one_of(params_argv(), st.just(["--family", "list"]))),
+            "--terms", str(terms)]
+    if draw(st.booleans()):
+        argv += ["--tol", draw(TOLERANCES)]
+    return argv + ["--exact"] * exact + list(draw(EXTRA))
+
+
+@st.composite
+def convert_argv(draw):
+    if draw(st.booleans()):
+        lists = st.lists(draw(st.sampled_from([GOOD, RATIONALS])), max_size=6).map(",".join)
+        argv = ["convert", "series-to-cf", "--numerators", draw(lists),
+                "--denominators", draw(lists)]
+    else:
+        argv = ["convert", "cf-to-series", *draw(params_argv())]
+    if draw(st.booleans()):
+        argv += ["--depth", str(draw(st.integers(-1, 200)))]
+    return argv + list(draw(EXTRA))
+
+
+@st.composite
+def riccati_argv(draw):
+    argv = ["riccati"]
+    values = draw(st.sampled_from([GOOD, RATIONALS]))
+    for name in draw(st.sampled_from([("a", "b", "c", "m")] * 4 + [("a", "c", "m")])):
+        argv += [f"--{name}", draw(values)]
+    if draw(st.booleans()):
+        argv += ["--depth", str(draw(st.integers(-1, 2000)))]
+    if draw(st.booleans()):
+        argv += ["--tol", draw(TOLERANCES)]
+    return argv + list(draw(EXTRA))
+
+
+@st.composite
+def cases(draw):
+    """A manifest entry: a point with a budget of at most 2000 terms, and at
+    most one field replaced by a value of the wrong type or range."""
+    family, params = draw(points())
+    case = {"family": family, "params": params, "max_terms": draw(st.integers(1, 2000)),
+            "tolerance": draw(st.sampled_from([1e-2, 1e-6, 1e-12]))}
+    field = draw(st.sampled_from([None] * 6 + ["family", "params", "tolerance", "max_terms"]))
+    if field == "max_terms":  # no integral float above 2000
+        case[field] = draw(st.one_of(JUNK, st.sampled_from([-1, 0, 2000.0, 1e400])))
+    elif field == "params":
+        case[field] = draw(st.one_of(JUNK, st.dictionaries(
+            st.sampled_from(PARAM_NAMES), st.one_of(JUNK, st.floats()), max_size=3)))
+    elif field is not None:
+        case[field] = draw(st.one_of(JUNK, st.floats()))
+    for optional in draw(st.sets(st.sampled_from(["params", "tolerance"]))):
+        del case[optional]
+    return case
+
+
+@st.composite
+def manifests(draw):
+    """Manifest text, mostly a list of cases; None for a missing file."""
+    kind = draw(st.sampled_from(["cases"] * 5 + ["json", "text", "missing"]))
+    if kind == "cases":
+        return json.dumps(draw(st.lists(cases(), max_size=3)))
+    if kind == "json":
+        return json.dumps(draw(JUNK))
+    return draw(st.sampled_from(["", "[", "{}", "[1, 2]", "\x00"])) if kind == "text" else None
+
+
+def exit_code(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            assert exc.code == 0 and {"--help", "-h"} & set(argv), argv
+            return EX_OK
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(eval_argv(), convert_argv(), riccati_argv(),
+                 st.lists(st.sampled_from(["convert", "riccati", "frob", "--help", "-h",
+                                           "--version", "--a", "1", ""]), max_size=4)))
+def test_any_command_line_ends_in_a_documented_exit_code(argv):
+    assert exit_code(argv) in DOCUMENTED_EXITS, argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(manifests(), st.sampled_from([(), (), (), ("--family", "F3"), ("--family", "F99"),
+                                   ("--jobs", "1"), ("--jobs", "0"), ("--help",)]))
+def test_any_manifest_ends_in_a_documented_exit_code(tmp_path_factory, manifest, extra):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-cases.json"
+    if manifest is None:
+        path.unlink(missing_ok=True)
+    else:
+        path.write_text(manifest)
+    argv = ["verify", "--manifest", str(path), *extra]
+    assert exit_code(argv) in DOCUMENTED_EXITS, argv

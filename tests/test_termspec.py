@@ -20,7 +20,8 @@ from contfrac.core import (
     TermSpec,
     TermUnderflowError,
     ZeroDenominatorError,
-    _exact_chunks,
+    _EndOfFraction,
+    _checked_floats,
     _spec_chunks,
     eval_float,
 )
@@ -192,10 +193,9 @@ def flat(chunks):
     out = []
     try:
         for chunk in chunks:
-            if chunk is None:
-                out.append("zero numerator")
-                break
             out.extend(chunk)
+    except _EndOfFraction:
+        out.append("zero numerator")
     except (ContinuedFractionError, ArithmeticError) as exc:
         out.append((type(exc).__name__, getattr(exc, "index", None)))
     return out
@@ -227,10 +227,22 @@ def specs(draw):
 @settings(max_examples=300, deadline=None)
 @given(specs(), st.integers(1, 600))
 def test_chunked_floats_equal_the_exact_stream_term_for_term(spec, n):
-    want = flat(_exact_chunks(itertools.islice(spec.exact_terms(), n)))
+    want = flat([_checked_floats(itertools.islice(spec.exact_terms(), n))])
     got = flat(_spec_chunks(spec, n))
     assert got == want
     assert [repr(x) for x in got] == [repr(x) for x in want]  # signs of zero too
+
+
+@pytest.mark.parametrize("head, root, index", [
+    (((0, 0),), 0, 1),     # head term
+    ((), 3, 3),            # polynomial term made one at a time
+    ((), 200, 200),        # polynomial term inside a numpy chunk
+])
+def test_a_term_with_both_parts_zero_raises_zero_denominator(head, root, index):
+    spec = TermSpec(0, head, (K - root) ** 2, (K - root) ** 2)
+    want = ("ZeroDenominatorError", index)
+    assert flat(_spec_chunks(spec, 300))[-1] == want
+    assert flat([_checked_floats(itertools.islice(spec.exact_terms(), 300))])[-1] == want
 
 
 @pytest.mark.parametrize("j", [17, 129, 200, 500, 512, 1000])
