@@ -35,7 +35,9 @@ a ``TermSpec`` for the fraction and its reference function.  The constraints
 are an ordered tuple of inequalities in Python syntax, such as
 ``("m > 0", "n > 0")``; each is compiled once and evaluated on the exact
 parameters, and the first that fails is the predicate a
-``ConstraintViolation`` names.
+``ConstraintViolation`` names.  The spec and the reference function take the
+parameters by name, as exact ``Fraction``s; every reference quadrature asks
+for the one accuracy ``quadrature.TARGET``.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .core import (
     eval_float,
 )
 from .quadrature import (
+    TARGET,
     PowerBinomialIntegrand,
     QuadratureError,
     de_integral,
@@ -67,10 +70,8 @@ from .quadrature import (
     sqrt_kernel_integral,
 )
 
-#: quadrature target used for all reference evaluations
-REF_TARGET = 1e-11
 #: dual-reference families must agree this tightly (10 x quadrature target)
-DUAL_AGREEMENT = 10.0 * REF_TARGET
+DUAL_AGREEMENT = 10.0 * TARGET
 
 
 class ConstraintViolation(ValueError):
@@ -105,7 +106,7 @@ class IdentityFamily:
     describe: str
     constraints: Tuple[str, ...]
     build: Callable[[Params], ContinuedFraction]
-    refs: Callable[[Params, float], Tuple[float, ...]]
+    refs: Callable[[Params], Tuple[float, ...]]
     _compiled: Tuple[CodeType, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -126,29 +127,28 @@ class IdentityFamily:
 # family definitions
 # --------------------------------------------------------------------------
 
-def _f1_refs(P: Params, target: float) -> Tuple[float, ...]:
-    return (reciprocal_kernel_integral(float(P["n"]), float(P["m"]), target),)
+def _f1_refs(m: Fraction, n: Fraction) -> Tuple[float, ...]:
+    return (reciprocal_kernel_integral(float(n), float(m)),)
 
 
-def _f1frac_refs(P: Params, target: float) -> Tuple[float, ...]:
+def _f1frac_refs(m: Fraction, n: Fraction) -> Tuple[float, ...]:
     # integral of dx/(1+x^(m/n)) over (0,1)
-    return (reciprocal_kernel_integral(1.0, float(P["m"]) / float(P["n"]), target),)
+    return (reciprocal_kernel_integral(1.0, float(m) / float(n)),)
 
 
-def _f2_refs(P: Params, target: float) -> Tuple[float, ...]:
-    integrand = PowerBinomialIntegrand(alpha=float(P["n"]), r=float(P["m"]), beta=0.0,
-                                       gamma_exp=-float(P["mu"]) / float(P["nu"]),
-                                       p=1.0, q=1.0)
-    return (integrand.integral(target),)
+def _f2_refs(mu: Fraction, nu: Fraction, m: Fraction, n: Fraction) -> Tuple[float, ...]:
+    integrand = PowerBinomialIntegrand(alpha=float(n), r=float(m), beta=0.0,
+                                       gamma_exp=-float(mu) / float(nu), p=1.0, q=1.0)
+    return (integrand.integral(),)
 
 
-def _f3_refs(P: Params, target: float) -> Tuple[float, ...]:
-    s = float(P["s"])
+def _f3_refs(s: Fraction) -> Tuple[float, ...]:
+    s = float(s)
     return ((s + 1.0) * sqrt_kernel_integral(s + 3.0, 2.0) / sqrt_kernel_integral(s + 1.0, 2.0),)
 
 
-def _f4_refs(P: Params, target: float) -> Tuple[float, ...]:
-    p, q, r = float(P["p"]), float(P["q"]), float(P["r"])
+def _f4_refs(p: Fraction, q: Fraction, r: Fraction) -> Tuple[float, ...]:
+    p, q, r = float(p), float(q), float(r)
     return ((p + 2 * q - r) * sqrt_kernel_integral(p + 2 * q, r) / sqrt_kernel_integral(p, r),)
 
 
@@ -159,7 +159,7 @@ def _sqrt_moment_ratio_value(f: float, h: float, r: float) -> float:
     return (h * (f - r) * kh - f * (h - r) * kf) / (f * kf - h * kh)
 
 
-def _half_power_ratio_value(f: float, h: float, r: float, target: float) -> float:
+def _half_power_ratio_value(f: float, h: float, r: float) -> float:
     """Independent reference: r + h J(f+r)/J(f) with the mixed kernel
 
     J(t) = integral of y^(t-1) (1-y^(2r))^((h-f)/(2r)) / (1+y^r) dy.
@@ -171,27 +171,29 @@ def _half_power_ratio_value(f: float, h: float, r: float, target: float) -> floa
 
     def J(t: float) -> float:
         return PowerBinomialIntegrand(alpha=t, r=r, beta=e, gamma_exp=e - 1.0,
-                                      p=1.0, q=1.0).integral(target)
+                                      p=1.0, q=1.0).integral()
 
     return r + hi * J(lo + r) / J(lo)
 
 
-def _f5_refs(P: Params, target: float) -> Tuple[float, ...]:
-    f, h, r = float(P["f"]), float(P["h"]), float(P["r"])
-    if P["f"] == P["h"]:
-        i = reciprocal_kernel_integral(h, r, target)
+def _f5_refs(f: Fraction, h: Fraction, r: Fraction) -> Tuple[float, ...]:
+    equal = f == h
+    f, h, r = float(f), float(h), float(r)
+    if equal:
+        i = reciprocal_kernel_integral(h, r)
         return ((1.0 - (h - r) * i) / i,)
-    return (_sqrt_moment_ratio_value(f, h, r), _half_power_ratio_value(f, h, r, target))
+    return (_sqrt_moment_ratio_value(f, h, r), _half_power_ratio_value(f, h, r))
 
 
-def _f6_refs(P: Params, target: float) -> Tuple[float, ...]:
-    f, h, r = float(P["f"]), float(P["h"]), float(P["r"])
-    if abs(P["f"] - P["h"]) == P["r"]:
+def _f6_refs(f: Fraction, h: Fraction, r: Fraction) -> Tuple[float, ...]:
+    limit = abs(f - h) == r
+    f, h, r = float(f), float(h), float(r)
+    if limit:
         # the two-moment expression degenerates to 0/0 on |f - h| = r
         # (symmetric in f and h); take the limit along f, which closes to an
         # elementary form in t = integral of x^(lo-1)/(1+x^r)
         lo = min(f, h)
-        t = reciprocal_kernel_integral(lo, r, target)
+        t = reciprocal_kernel_integral(lo, r)
         return ((lo + 2.0 * lo * (r - lo) * t) / (-1.0 + 2.0 * lo * t),)
     kf = sqrt_kernel_integral(f, r)
     kh = sqrt_kernel_integral(h + r, r)
@@ -204,43 +206,42 @@ def _f7_ref_value(q: float, r: float, s: float) -> float:
     return (q + s) * sqrt_kernel_integral(q + r + s, r) / sqrt_kernel_integral(r + s - q, r)
 
 
-def _f7_refs(P: Params, target: float) -> Tuple[float, ...]:
-    return (_f7_ref_value(float(P["q"]), float(P["r"]), float(P["s"])),)
+def _f7_refs(q: Fraction, r: Fraction, s: Fraction) -> Tuple[float, ...]:
+    return (_f7_ref_value(float(q), float(r), float(s)),)
 
 
-def _f8_moment_ratio(a: float, b: float, c: float, r: float, p: float, q: float,
-                     target: float) -> float:
+def _f8_moment_ratio(a: float, b: float, c: float, r: float, p: float, q: float) -> float:
     """I(g+r)/I(g) with I(t) = integral of x^(t-1)(1-x^r)^((c-b)/r)(p+q x^r)^((c-a)/r)."""
     g = a + b - c - r
 
     def moment(t: float) -> float:
         return PowerBinomialIntegrand(alpha=t, r=r, beta=(c - b) / r,
-                                      gamma_exp=(c - a) / r, p=p, q=q).integral(target)
+                                      gamma_exp=(c - a) / r, p=p, q=q).integral()
 
     return moment(g + r) / moment(g)
 
 
-def _f8_refs(P: Params, target: float) -> Tuple[float, ...]:
-    vals = [float(P[k]) for k in ("a", "b", "c", "r", "p", "q")]
-    return (_f8_moment_ratio(*vals, target),)
+def _f8_refs(a: Fraction, b: Fraction, c: Fraction, r: Fraction, p: Fraction,
+             q: Fraction) -> Tuple[float, ...]:
+    return (_f8_moment_ratio(*(float(x) for x in (a, b, c, r, p, q))),)
 
 
-def _f9_refs(P: Params, target: float) -> Tuple[float, ...]:
-    c, g, r, s = (float(P[k]) for k in ("c", "g", "r", "s"))
+def _f9_refs(c: Fraction, g: Fraction, r: Fraction, s: Fraction) -> Tuple[float, ...]:
+    c, g, r, s = float(c), float(g), float(r), float(s)
     a = (c + g + r + s) / 2.0
     b = (c + g + r - s) / 2.0
-    return (c * _f8_moment_ratio(a, b, c, r, 1.0, 1.0, target),)
+    return (c * _f8_moment_ratio(a, b, c, r, 1.0, 1.0),)
 
 
-def _f10_refs(P: Params, target: float) -> Tuple[float, ...]:
-    s = float(P["s"])
-    return (1.0 / (2.0 * reciprocal_kernel_integral(s + 1.0, 2.0, target)) - s,)
+def _f10_refs(s: Fraction) -> Tuple[float, ...]:
+    s = float(s)
+    return (1.0 / (2.0 * reciprocal_kernel_integral(s + 1.0, 2.0)) - s,)
 
 
-def _f11_refs(P: Params, target: float) -> Tuple[float, ...]:
+def _f11_refs(a: Fraction, alpha: Fraction, b: Fraction, beta: Fraction) -> Tuple[float, ...]:
     import numpy as np
 
-    a, al, b, be = (float(P[k]) for k in ("a", "alpha", "b", "beta"))
+    a, al, b, be = float(a), float(alpha), float(b), float(beta)
     exp_coeff = al / (be * be)
     edge = (al * al + al * be * b - al * be * be - be * be * a) / (al * be * be)
 
@@ -248,7 +249,7 @@ def _f11_refs(P: Params, target: float) -> Tuple[float, ...]:
         def f(x, cx):
             return np.exp(exp_coeff * x + u * np.log(x) + edge * np.log(cx))
 
-        res = de_integral(f, "unit", target)
+        res = de_integral(f, "unit")
         if not res.converged:
             raise QuadratureError("exponential-Beta moment did not converge")
         return res.value
@@ -256,21 +257,20 @@ def _f11_refs(P: Params, target: float) -> Tuple[float, ...]:
     return (al / be * weighted_moment(a / al) / weighted_moment(a / al - 1.0),)
 
 
-def _f12_refs(P: Params, target: float) -> Tuple[float, ...]:
-    a, al, b = (float(P[k]) for k in ("a", "alpha", "b"))
+def _f12_refs(a: Fraction, alpha: Fraction, b: Fraction) -> Tuple[float, ...]:
+    a, al, b = float(a), float(alpha), float(b)
     e = a / al
-    return (gaussian_tail_integral(e, al, b, target)
-            / gaussian_tail_integral(e - 1.0, al, b, target),)
+    return (gaussian_tail_integral(e, al, b) / gaussian_tail_integral(e - 1.0, al, b),)
 
 
 _GOLDEN_P = (math.sqrt(5.0) + 1.0) / 2.0
 _GOLDEN_Q = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_refs(P: Params, target: float) -> Tuple[float, ...]:
+def _golden_refs() -> Tuple[float, ...]:
     a = (1.0 + 3.0 * math.sqrt(5.0)) / (2.0 * math.sqrt(5.0))
     b = (3.0 * math.sqrt(5.0) - 1.0) / (2.0 * math.sqrt(5.0))
-    ratio = _f8_moment_ratio(a, b, 1.0, 1.0, _GOLDEN_P, _GOLDEN_Q, target)
+    ratio = _f8_moment_ratio(a, b, 1.0, 1.0, _GOLDEN_P, _GOLDEN_Q)
     return (1.0 + ratio / _GOLDEN_P,)
 
 
@@ -278,10 +278,12 @@ FAMILIES: dict[str, IdentityFamily] = {}
 
 
 def _register(fid: str, param_names: Tuple[str, ...], describe: str,
-              constraints: Tuple[str, ...], spec: Callable[..., TermSpec], refs) -> None:
-    """Add a family; ``spec`` maps its parameters, as keyword arguments, to a TermSpec."""
+              constraints: Tuple[str, ...], spec: Callable[..., TermSpec],
+              refs: Callable[..., Tuple[float, ...]]) -> None:
+    """Add a family; ``spec`` and ``refs`` take its parameters as keyword arguments."""
     FAMILIES[fid] = IdentityFamily(fid, param_names, describe, constraints,
-                                   lambda P: ContinuedFraction.from_spec(spec(**P)), refs)
+                                   lambda P: ContinuedFraction.from_spec(spec(**P)),
+                                   lambda P: refs(**P))
 
 
 _F4_CONSTRAINTS = ("p > 0", "r > 0", "p + 2*q > 0")
@@ -362,25 +364,22 @@ _register("F12", ("a", "alpha", "b"), "beta = 0 limit of F11 (constant partial d
 
 # fixed cases: explicit term sequences with independently computed constants
 _register("log2", (), "1/(1 + 1/(1 + 4/(1 + 9/(1 + ...)))) = log 2", (),
-          lambda: TermSpec(0, [(1, 1)], (K - 1) ** 2, 1), lambda P, target: (math.log(2.0),))
+          lambda: TermSpec(0, [(1, 1)], (K - 1) ** 2, 1), lambda: (math.log(2.0),))
 _register("brouncker", (), "1/(1 + 1/(2 + 9/(2 + 25/(2 + ...)))) = pi/4", (),
-          lambda: TermSpec(0, [(1, 1)], (2 * K - 3) ** 2, 2), lambda P, target: (math.pi / 4.0,))
+          lambda: TermSpec(0, [(1, 1)], (2 * K - 3) ** 2, 2), lambda: (math.pi / 4.0,))
 _register("e-euler", (), "2 + 2/(2 + 3/(3 + 4/(4 + ...))) = e", (),
-          lambda: TermSpec(2, [(2, 2)], K + 1, K + 1), lambda P, target: (math.e,))
+          lambda: TermSpec(2, [(2, 2)], K + 1, K + 1), lambda: (math.e,))
 _register("log2-recip", (), "2 + 1*2/(2 + 2*3/(2 + 3*4/(2 + ...))) = 1/(2 log 2 - 1)",
           (), lambda: TermSpec(2, [], K * (K + 1), 2),
-          lambda P, target: (1.0 / (2.0 * math.log(2.0) - 1.0),))
+          lambda: (1.0 / (2.0 * math.log(2.0) - 1.0),))
 _register("pi-half-a", (), "1 + 1/(1 + 1*2/(1 + 2*3/(1 + ...))) = pi/2", (),
-          lambda: TermSpec(1, [(1, 1)], (K - 1) * K, 1), lambda P, target: (math.pi / 2.0,))
+          lambda: TermSpec(1, [(1, 1)], (K - 1) * K, 1), lambda: (math.pi / 2.0,))
 _register("pi-half-b", (), "2 - 1/(2 + 1/(2 + 4/(2 + 9/(2 + ...)))) = pi/2 (signed)",
-          (), lambda: TermSpec(2, [(-1, 2)], (K - 1) ** 2, 2),
-          lambda P, target: (math.pi / 2.0,))
+          (), lambda: TermSpec(2, [(-1, 2)], (K - 1) ** 2, 2), lambda: (math.pi / 2.0,))
 _register("three-pi-quarter-a", (), "2 + 1/(2 + 1*3/(2 + 2*4/(2 + ...))) = 3 pi/4",
-          (), lambda: TermSpec(2, [(1, 2)], (K - 1) * (K + 1), 2),
-          lambda P, target: (0.75 * math.pi,))
+          (), lambda: TermSpec(2, [(1, 2)], (K - 1) * (K + 1), 2), lambda: (0.75 * math.pi,))
 _register("three-pi-quarter-b", (), "1 + 3/(1 + 1*4/(1 + 2*5/(1 + ...))) = 3 pi/4",
-          (), lambda: TermSpec(1, [(3, 1)], (K - 1) * (K + 2), 1),
-          lambda P, target: (0.75 * math.pi,))
+          (), lambda: TermSpec(1, [(3, 1)], (K - 1) * (K + 2), 1), lambda: (0.75 * math.pi,))
 # numeric-only verification; no closed form
 _register("golden", (), "1 + 1/(2 + 4/(3 + 9/(4 + 16/(5 + ...)))), irrational-exponent preset",
           (), lambda: TermSpec(1, [], K * K, K + 1), _golden_refs)
@@ -425,23 +424,19 @@ def _resolve(family: str,
     return fam, P
 
 
-def make_cf(family: str, params: Mapping[str, Rational],
-            depth: Optional[int] = None) -> ContinuedFraction:
+def make_cf(family: str, params: Mapping[str, Rational]) -> ContinuedFraction:
     """Continued fraction for a family at a parameter assignment.
 
-    Raises ``ConstraintViolation`` if the assignment is rejected; ``depth``
-    truncates the term stream.
+    Raises ``ConstraintViolation`` if the assignment is rejected.
     """
     fam, P = _resolve(family, params)
-    cf = fam.build(P)
-    return cf.truncated(depth) if depth is not None else cf
+    return fam.build(P)
 
 
-def reference_value(family: str, params: Mapping[str, Rational],
-                    target: float = REF_TARGET) -> Tuple[float, ...]:
+def reference_value(family: str, params: Mapping[str, Rational]) -> Tuple[float, ...]:
     """Independent reference value(s) for a family (two for dual-reference ones)."""
     fam, P = _resolve(family, params)
-    return fam.refs(P, target)
+    return fam.refs(P)
 
 
 # --------------------------------------------------------------------------
@@ -488,7 +483,7 @@ class VerificationReport:
         return self.status is VerifyStatus.PASS
 
 
-def verify(case: IdentityCase, target: float = REF_TARGET) -> VerificationReport:
+def verify(case: IdentityCase) -> VerificationReport:
     """Evaluate a case's fraction and compare with its reference value(s).
 
     Pass criterion: every reference lies inside the reported bracket when one
@@ -508,7 +503,7 @@ def verify(case: IdentityCase, target: float = REF_TARGET) -> VerificationReport
         return VerificationReport(case, VerifyStatus.CONSTRAINT_VIOLATION, None, None,
                                   None, 0, (), None, detail=detail)
     try:
-        refs = fam.refs(P, target)
+        refs = fam.refs(P)
     except (QuadratureError, ValueError, ArithmeticError) as exc:
         return VerificationReport(case, VerifyStatus.UNDEFINED, None, None, None, 0,
                                   (), None, detail=f"reference evaluation failed: {exc}")
@@ -586,7 +581,7 @@ def product_identity_check(q: float, r: float, s: float) -> float:
 
 
 def permutation_theorem_check(a: float, b: float, c: float, r: float,
-                              p: float, q: float, target: float = REF_TARGET) -> float:
+                              p: float, q: float) -> float:
     """Residual of the c <-> g permutation identity for the master family.
 
     Both orientations must be integrable: with g = a + b - c - r this needs
@@ -599,11 +594,11 @@ def permutation_theorem_check(a: float, b: float, c: float, r: float,
         raise ValueError("g-side integrability violated")
     if c <= 0 or a - c <= 0:
         raise ValueError("c-side integrability violated")
-    ratio_g = _f8_moment_ratio(a, b, c, r, p, q, target)
+    ratio_g = _f8_moment_ratio(a, b, c, r, p, q)
 
     def moment_c(t: float) -> float:
         return PowerBinomialIntegrand(alpha=t, r=r, beta=(a - c - r) / r,
-                                      gamma_exp=(b - c - r) / r, p=p, q=q).integral(target)
+                                      gamma_exp=(b - c - r) / r, p=p, q=q).integral()
 
     ratio_c = moment_c(c + r) / moment_c(c)
     return abs(c * ratio_g - g * ratio_c)

@@ -16,6 +16,7 @@ unreadable manifest.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -157,6 +158,20 @@ def _build_parser() -> _Parser:
 
 # ---------------------------------------------------------------- eval
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's int-to-str digit limit (4300 digits by default,
+    where there is one) while exact convergents are printed."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _cmd_eval(args) -> int:
     if args.family == "list":
         from .catalog import FAMILIES
@@ -185,7 +200,9 @@ def _cmd_eval(args) -> int:
             "reference": refs[0] if len(refs) == 1 else list(refs),
         }
         if exact is not None:
-            payload["exact"] = [f"{c.p}/{c.q}" for c in exact]
+            with _unlimited_int_digits():
+                payload["exact"] = ["{0.numerator}/{0.denominator}".format(c.value)
+                                    for c in exact]
         print(json.dumps(payload))
     else:
         print(f"family   {args.family}"
@@ -197,8 +214,9 @@ def _cmd_eval(args) -> int:
         print(f"terms    {rep.terms_used}")
         print(f"status   {rep.status.value}")
         if exact is not None:
-            for c in exact:
-                print(f"  v_{c.index} = {c.value}")
+            with _unlimited_int_digits():
+                for c in exact:
+                    print(f"  v_{c.index} = {c.value}")
     if rep.status in (EvalStatus.CONVERGED, EvalStatus.TERMINATED_FINITE):
         return EX_OK
     if rep.status is EvalStatus.BUDGET_EXHAUSTED:

@@ -177,11 +177,8 @@ class TermSpec:
     k = 1..len(head), then b_k = b(k) and a_k = a(k) for every later k.
 
     ``exact_terms`` is the exact stream.  ``eval_float`` does not read it:
-    it takes float terms a chunk at a time from ``_spec_chunks``, which
-    equal ``float()`` of the exact terms one for one, computed as N(k)/D
-    from the integer numerator polynomial N and fixed denominator D of each
-    of b and a.  A zero N(k) raises at index k, as the checked exact stream
-    does: a zero denominator first, else the fraction ends there."""
+    it takes float terms from ``_spec_chunks``, which equal ``float()`` of
+    the exact terms one for one."""
 
     leading: Fraction
     head: Tuple[PartialTerm, ...]
@@ -208,11 +205,7 @@ class TermSpec:
             yield PartialTerm(n if db == 1 else Fraction(n, db), m if da == 1 else Fraction(m, da))
 
 
-# A float chunk is an iterable of (b_k, a_k) float pairs for consecutive k.
-# A spec's first _LAZY_TERMS polynomial terms come one at a time, so a short
-# evaluation makes no term it does not use.  Each later chunk is as long as
-# all terms before it, up to _CHUNK_MAX, and is made at once in numpy float64
-# where that is exact.
+# chunk sizes and the float64 exactness bound of _spec_chunks
 _LAZY_TERMS = 128
 _CHUNK_MAX = 4096
 _F64_EXACT = 2 ** 53
@@ -291,11 +284,21 @@ def _spec_chunks(spec: TermSpec, max_terms: int):
     for term to ``_checked_floats(spec.exact_terms())`` with the same errors
     at the same indices.
 
-    Head terms come through ``_checked_floats``, polynomial terms through
-    ``_numpy_floats`` where that is exact and ``_lazy_floats`` otherwise.
-    A numpy chunk stops before its first zero term; the rest of that chunk
-    then comes from ``_lazy_floats``, which raises at the zero term once the
-    consumer reaches it.
+    A chunk is an iterable of (b_k, a_k) float pairs for consecutive k, and
+    a polynomial term is N(k)/D, the Horner value of an integer numerator
+    polynomial over its fixed denominator.  Head terms come through
+    ``_checked_floats``.  The first ``_LAZY_TERMS`` polynomial terms come one
+    at a time from ``_lazy_floats`` in Python ints, whose true division
+    rounds correctly, so a short evaluation makes no term it does not use.
+    Each later chunk is as long as all terms before it, up to ``_CHUNK_MAX``,
+    and ``_numpy_floats`` makes it at once in float64 when D <= 2**53 and
+    sum |c_i| k_max**i <= 2**53 (coefficients c_i, last index k_max): every
+    Horner intermediate is then an integer float64 holds, and IEEE division
+    rounds correctly.  Otherwise, and for the rest of a numpy chunk from its
+    first zero term on, terms come from ``_lazy_floats``.  Every source
+    raises at a zero term's own index once the consumer reaches it
+    (``_zero_term``).  A spec with D >= 2**1074, whose nonzero terms can
+    round to 0.0, takes the checked exact stream instead.
     """
     if spec.b.den >> 1074 or spec.a.den >> 1074:
         # N(k)/D with N(k) != 0 can round to 0.0 only when D >= 2**1074:
@@ -343,13 +346,6 @@ class ContinuedFraction:
 
     def take(self, k: int) -> list[PartialTerm]:
         return list(itertools.islice(self.terms(), k))
-
-    def truncated(self, depth: int) -> "ContinuedFraction":
-        """Same leading term, at most ``depth`` partial terms."""
-        if depth < 0:
-            raise ValueError("depth must be nonnegative")
-        base = self.factory
-        return ContinuedFraction(self.leading, lambda: itertools.islice(base(), depth))
 
     @staticmethod
     def from_rule(leading: Rational, rule: TermRule) -> "ContinuedFraction":
@@ -591,17 +587,12 @@ def eval_float(cf: ContinuedFraction, tol: float, max_terms: int) -> EvalReport:
     term stream reports the final convergent.  Undefined convergents
     (q_k = 0) are skipped and the recurrence continues.
 
-    Float terms arrive in chunks.  A fraction with a ``TermSpec`` gets them
-    from ``_spec_chunks``: its first polynomial terms one at a time as
-    N(k)/D in Python ints, later ones a block of k at a time in numpy
-    float64 where every Horner step is an exact integer (denominator and
-    sum |c_i| k**i at most 2**53).  Any other fraction converts its exact
-    stream term by term, pulling each term only when the loop reaches it.
-    Both give ``float()`` of every exact term.  A term that is zero,
-    overflows or underflows raises where its source meets it, at its own
-    index and only once the loop reaches it: a zero denominator raises
-    ``ZeroDenominatorError``, and a zero numerator raises a private
-    exception that this loop catches to report the fraction finite.
+    Float terms arrive in chunks: from ``_spec_chunks`` for a fraction with
+    a ``TermSpec``, else from the exact stream one term at a time.  Both give
+    ``float()`` of every exact term.  A term that is zero, overflows or
+    underflows raises at its own index once the loop reaches it: a zero
+    denominator raises ``ZeroDenominatorError``, and a zero numerator raises
+    a private exception that this loop catches to report the fraction finite.
     """
     check_tolerance(tol)
     if max_terms < 1:

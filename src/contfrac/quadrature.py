@@ -26,6 +26,10 @@ class QuadratureError(Exception):
     """Quadrature failed to converge within the level cap."""
 
 
+#: the accuracy every reference oracle asks of the quadrature
+TARGET = 1e-11
+
+
 # Lanczos approximation, g = 7, 9 terms (Godfrey's coefficient set, as
 # tabulated by Boost.Math and Numerical Recipes 3rd ed.); ~15 significant
 # digits on the positive real axis.
@@ -141,7 +145,7 @@ class QuadratureResult:
     converged: bool
 
 
-def de_integral(f: Callable, domain: str = "unit", target: float = 1e-11,
+def de_integral(f: Callable, domain: str = "unit", target: float = TARGET,
                 level_cap: int = _LEVEL_CAP) -> QuadratureResult:
     """Double-exponential quadrature.
 
@@ -217,7 +221,7 @@ class PowerBinomialIntegrand:
             out = out + self.gamma_exp * np.log(self.p + self.q * np.exp(self.r * lx))
         return np.exp(out)
 
-    def integral(self, target: float = 1e-11) -> float:
+    def integral(self, target: float = TARGET) -> float:
         res = de_integral(self, "unit", target)
         if not res.converged:
             raise QuadratureError(
@@ -225,7 +229,7 @@ class PowerBinomialIntegrand:
         return res.value
 
 
-def reciprocal_kernel_integral(h: float, r: float, target: float = 1e-11) -> float:
+def reciprocal_kernel_integral(h: float, r: float, target: float = TARGET) -> float:
     """Integral over (0, 1) of x^(h-1) / (1 + x^r) dx."""
     if h <= 0:
         raise ValueError("h must be positive")
@@ -235,7 +239,7 @@ def reciprocal_kernel_integral(h: float, r: float, target: float = 1e-11) -> flo
                                   p=1.0, q=1.0).integral(target)
 
 
-def gaussian_tail_integral(e: float, alpha: float, b: float, target: float = 1e-11) -> float:
+def gaussian_tail_integral(e: float, alpha: float, b: float, target: float = TARGET) -> float:
     """Integral over (0, inf) of R^e exp(-(2 b R + R^2) / (2 alpha)) dR."""
     if e <= -1:
         raise ValueError("e must exceed -1")
@@ -257,7 +261,7 @@ def gaussian_tail_integral(e: float, alpha: float, b: float, target: float = 1e-
 
 def contiguous_relation_check(m: float, n: float, kappa_exp: float,
                               p: float, q: float, r: float,
-                              nu_max: int, target: float = 1e-11) -> list[float]:
+                              nu_max: int, target: float = TARGET) -> list[float]:
     """Residuals of the three-term contiguous relation.
 
     With P = x^(m-1) (1-x^r)^n (p+q x^r)^kappa and R = x^r, the moments

@@ -76,7 +76,7 @@ def _partial_denominator(problem: RiccatiProblem, k: int) -> Fraction:
     return -mag if k % 2 == 1 else mag
 
 
-def cf_from_riccati(problem: RiccatiProblem, depth: Optional[int] = None) -> ContinuedFraction:
+def cf_from_riccati(problem: RiccatiProblem) -> ContinuedFraction:
     """Continued fraction for c y(1); terminates where a numerator vanishes."""
 
     def rule(k):
@@ -85,8 +85,7 @@ def cf_from_riccati(problem: RiccatiProblem, depth: Optional[int] = None) -> Con
             return None
         return (num, _partial_denominator(problem, k))
 
-    cf = ContinuedFraction.from_rule(1, rule)
-    return cf.truncated(depth) if depth is not None else cf
+    return ContinuedFraction.from_rule(1, rule)
 
 
 def termination_depth(problem: RiccatiProblem, search: int = 512) -> Optional[int]:

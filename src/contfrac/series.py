@@ -11,6 +11,9 @@ into the continued fraction
 whose k-th convergent equals the k-th partial sum exactly.  The classical
 examples: numerators all 1 with denominators 1,2,3,4,... gives the fraction
 for log 2; denominators 1,3,5,7,... gives Brouncker's fraction for pi/4.
+
+A ``SeriesSpec`` is one stream of exact pairs (n_j, d_j).  The transform reads
+it once, in order: term k of the fraction needs pairs 0..k-1 only.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, Tuple
 
 from .core import ContinuedFraction, ContinuedFractionError, Rational, as_fraction, term
 
@@ -33,14 +36,13 @@ class ZeroPivotError(ContinuedFractionError):
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """Alternating series: term j is (-1)^j * numerators[j] / denominators[j].
+    """Alternating series: term j is (-1)^j * n_j / d_j.
 
-    ``numerators`` and ``denominators`` are factories returning fresh
-    iterators of exact rationals, equal length (or both unbounded).
+    ``pairs`` is a factory returning a fresh iterator of the exact pairs
+    (n_j, d_j), finite or unbounded.
     """
 
-    numerators: Callable[[], Iterator[Fraction]]
-    denominators: Callable[[], Iterator[Fraction]]
+    pairs: Callable[[], Iterator[Tuple[Fraction, Fraction]]]
 
     @staticmethod
     def from_lists(nums: Sequence[Rational], dens: Sequence[Rational]) -> "SeriesSpec":
@@ -52,31 +54,24 @@ class SeriesSpec:
         df = tuple(as_fraction(x) for x in dens)
         if any(d == 0 for d in df):
             raise ValueError("series denominators must be nonzero")
-        return SeriesSpec(lambda: iter(nf), lambda: iter(df))
+        pairs = tuple(zip(nf, df))
+        return SeriesSpec(lambda: iter(pairs))
 
     @staticmethod
     def from_rules(num_rule: Callable[[int], Rational],
                    den_rule: Callable[[int], Rational]) -> "SeriesSpec":
         """Unbounded series from 0-based term rules."""
 
-        def nums() -> Iterator[Fraction]:
+        def pairs() -> Iterator[Tuple[Fraction, Fraction]]:
             for j in itertools.count():
-                yield as_fraction(num_rule(j))
+                yield as_fraction(num_rule(j)), as_fraction(den_rule(j))
 
-        def dens() -> Iterator[Fraction]:
-            for j in itertools.count():
-                yield as_fraction(den_rule(j))
-
-        return SeriesSpec(nums, dens)
+        return SeriesSpec(pairs)
 
     def terms(self, k: int) -> list[Fraction]:
         """First k signed terms."""
-        out = []
-        for j, (n, d) in enumerate(zip(self.numerators(), self.denominators())):
-            if j >= k:
-                break
-            out.append(n / d if j % 2 == 0 else -n / d)
-        return out
+        return [n / d if j % 2 == 0 else -n / d
+                for j, (n, d) in enumerate(itertools.islice(self.pairs(), k))]
 
     def partial_sums(self, k: int) -> list[Fraction]:
         sums, acc = [], Fraction(0)
@@ -93,34 +88,21 @@ def series_to_cf(series: SeriesSpec) -> ContinuedFraction:
     at that depth (``ZeroPivotError``); terms already generated stand as a
     partial result.
     """
-    probe = list(itertools.islice(zip(series.numerators(), series.denominators()), 2))
-    if len(probe) < 2:
+    if len(list(itertools.islice(series.pairs(), 2))) < 2:
         raise ValueError("series_to_cf needs at least two series terms")
 
     def factory():
-        nit, dit = series.numerators(), series.denominators()
-        n0, d0 = next(nit), next(dit)
-        yield term(n0, d0)
-        n1, d1 = next(nit), next(dit)
-        pivot = n0 * d1 - n1 * d0
-        if pivot == 0:
-            raise ZeroPivotError(2)
-        yield term(n1 * d0 * d0, pivot)
-        n_prev2 = n0
-        n_prev1, d_prev1 = n1, d1
-        depth = 3
-        while True:
-            nk = next(nit, None)
-            dk = next(dit, None)
-            if nk is None or dk is None:
-                return
+        it = series.pairs()
+        n_prev1, d_prev1 = next(it)
+        yield term(n_prev1, d_prev1)
+        # n_{-1} = 1 makes term 2 an instance of the general term
+        n_prev2 = 1
+        for depth, (nk, dk) in enumerate(it, 2):
             pivot = n_prev1 * dk - nk * d_prev1
             if pivot == 0:
                 raise ZeroPivotError(depth)
             yield term(n_prev2 * nk * d_prev1 * d_prev1, pivot)
-            n_prev2 = n_prev1
-            n_prev1, d_prev1 = nk, dk
-            depth += 1
+            n_prev2, n_prev1, d_prev1 = n_prev1, nk, dk
 
     return ContinuedFraction(Fraction(0), factory)
 

@@ -47,10 +47,6 @@ def test_f1_unit_numerator_ladder_for_growing_exponents():
             (1, 1), (1, m), ((m + 1) ** 2, m), ((2 * m + 1) ** 2, m)]
 
 
-def test_make_cf_depth_truncates():
-    assert len(make_cf("F1", {"m": 2, "n": 1}, depth=5).take(100)) == 5
-
-
 def test_reference_value_checks_constraints():
     with pytest.raises(ConstraintViolation):
         reference_value("F3", {"s": -1})
@@ -355,6 +351,25 @@ def test_constraints_compile_and_name_only_family_parameters(family):
     fam = catalog.get_family(family)
     for text in fam.constraints:
         assert set(compile(text, family, "eval").co_names) <= set(fam.param_names), text
+
+
+#: reference_value at every in-constraint point of golden_constraints.json
+#: and at every builtin_suite() case, as the reference functions returned when
+#: they took a parameter mapping and a quadrature target
+GOLDEN_REFS = json.loads((pathlib.Path(__file__).parent / "data"
+                          / "golden_refs.json").read_text())["points"]
+
+
+@pytest.mark.parametrize("family", family_ids())
+def test_references_match_golden_points(family):
+    # relative 1e-10 leaves room for numpy's exp and log, whose last bit can
+    # differ between CPUs; the quadrature target is 1e-11
+    points = [p for p in GOLDEN_REFS if p["family"] == family]
+    assert points
+    for p in points:
+        got = reference_value(family, {k: F(v) for k, v in p["params"].items()})
+        assert len(got) == len(p["refs"]), p["params"]
+        assert all(math.isclose(g, w, rel_tol=1e-10) for g, w in zip(got, p["refs"])), p["params"]
 
 
 def test_constraints_see_no_builtins():

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
@@ -83,6 +84,41 @@ def test_eval_exact_lists_rational_convergents(capsys):
     assert code == EX_BUDGET  # three terms cannot reach the default tolerance
     payload = json.loads(out)
     assert payload["exact"] == ["1/1", "2/3", "13/15"]
+
+
+def test_eval_exact_json_prints_each_convergent_reduced(capsys):
+    # F3 has rational partial terms, so the continuants p_k, q_k are
+    # fractions themselves; each entry is the reduced value p_k/q_k
+    code, out, _ = run(capsys, "eval", "--family", "F3", "--param", "s=1/2", "--exact",
+                       "--terms", "4", "--json")
+    assert code == EX_BUDGET
+    assert json.loads(out)["exact"] == ["3/2", "3/5", "87/70", "9/14"]
+
+
+def _e_euler_convergent(k):
+    """v_k of 2 + 2/(2 + 3/(3 + 4/(4 + ...))) from the integer recurrence."""
+    p_prev, q_prev, p, q = 1, 0, 2, 1
+    for j in range(1, k + 1):
+        p, p_prev = (j + 1) * (p + p_prev), p
+        q, q_prev = (j + 1) * (q + q_prev), q
+    return F(p, q)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_eval_exact_prints_convergents_past_the_int_digit_limit(capsys, fmt):
+    # from v_1558 on, the numerators have more digits than Python's default
+    # int-to-str limit of 4300
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, _ = run(capsys, "eval", "--family", "e-euler", "--exact", "--terms", "1600",
+                       *(["--json"] if fmt == "json" else []))
+    assert code == EX_OK
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    with cli._unlimited_int_digits():
+        v = _e_euler_convergent(1600)
+        if fmt == "json":
+            assert json.loads(out)["exact"][-1] == f"{v.numerator}/{v.denominator}"
+        else:
+            assert out.splitlines()[-1] == f"  v_1600 = {v}"
 
 
 def test_eval_zero_terms_is_usage_error(capsys):

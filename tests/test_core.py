@@ -81,10 +81,6 @@ def test_term_stream_is_deterministic():
     assert cf.take(8) == cf.take(8)
 
 
-def test_truncated_prefix():
-    assert len(brouncker_cf().truncated(4).take(100)) == 4
-
-
 # ------------------------------------------------------------ eval_float
 
 def test_eval_brouncker_brackets_pi_quarter():
