@@ -469,12 +469,12 @@ class IdentityCase:
 class VerificationReport:
     case: IdentityCase
     status: VerifyStatus
-    value: Optional[float]
-    lower: Optional[float]
-    upper: Optional[float]
-    terms_used: int
-    references: Tuple[float, ...]
-    abs_error: Optional[float]
+    value: Optional[float] = None
+    lower: Optional[float] = None
+    upper: Optional[float] = None
+    terms_used: int = 0
+    references: Tuple[float, ...] = ()
+    abs_error: Optional[float] = None
     eval_status: Optional[EvalStatus] = None
     detail: str = ""
 
@@ -500,18 +500,17 @@ def verify(case: IdentityCase) -> VerificationReport:
     except (UnknownFamilyError, ValueError) as exc:
         detail = (f"constraint violated: {exc.predicate}"
                   if isinstance(exc, ConstraintViolation) else str(exc))
-        return VerificationReport(case, VerifyStatus.CONSTRAINT_VIOLATION, None, None,
-                                  None, 0, (), None, detail=detail)
+        return VerificationReport(case, VerifyStatus.CONSTRAINT_VIOLATION, detail=detail)
     try:
         refs = fam.refs(P)
     except (QuadratureError, ValueError, ArithmeticError) as exc:
-        return VerificationReport(case, VerifyStatus.UNDEFINED, None, None, None, 0,
-                                  (), None, detail=f"reference evaluation failed: {exc}")
+        return VerificationReport(case, VerifyStatus.UNDEFINED,
+                                  detail=f"reference evaluation failed: {exc}")
     try:
         rep = eval_float(fam.build(P), case.tolerance, case.max_terms)
     except (ContinuedFractionError, ArithmeticError) as exc:
-        return VerificationReport(case, VerifyStatus.UNDEFINED, None, None, None, 0,
-                                  refs, None, detail=f"evaluation failed: {exc}")
+        return VerificationReport(case, VerifyStatus.UNDEFINED, references=refs,
+                                  detail=f"evaluation failed: {exc}")
 
     abs_error = abs(rep.value - refs[0])
     if rep.status is EvalStatus.DIVERGENT:
@@ -616,9 +615,9 @@ def builtin_suite() -> list[IdentityCase]:
     """
     F = Fraction
 
-    def case(family, params=None, tolerance=1e-4, max_terms=400_000):
-        P = {k: as_fraction(v) for k, v in (params or {}).items()}
-        return IdentityCase(family, P, tolerance, max_terms)
+    def case(family, params=None, **limits):  # IdentityCase's defaults otherwise
+        return IdentityCase(family, {k: as_fraction(v) for k, v in (params or {}).items()},
+                            **limits)
 
     return [
         case("log2", tolerance=1e-4),

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -161,7 +162,8 @@ def _build_parser() -> _Parser:
 @contextlib.contextmanager
 def _unlimited_int_digits():
     """Lift the interpreter's int-to-str digit limit (4300 digits by default,
-    where there is one) while exact convergents are printed."""
+    where there is one) while exact values are printed; input is parsed
+    under the limit, which guards int(str) against quadratic-time input."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
@@ -239,26 +241,21 @@ def _cmd_convert_s2c(args) -> int:
     cf = series_to_cf(SeriesSpec.from_lists(nums, dens))
     depth = args.depth if args.depth is not None else len(nums)
     collected = []
-    partial = False
-    warning = ""
-    it = cf.terms()
+    warning = None
     try:
-        for _ in range(depth):
-            t = next(it, None)
-            if t is None:
-                break
+        for t in itertools.islice(cf.terms(), depth):
             collected.append(t)
     except ZeroPivotError as exc:
-        partial = True
         warning = str(exc)
-    if args.json:
-        print(json.dumps([{"numerator": _rat_json(Fraction(t.numerator)),
-                           "denominator": _rat_json(Fraction(t.denominator))}
-                          for t in collected]))
-    else:
-        for t in collected:
-            print(f"{t.numerator}\t{t.denominator}")
-    if partial:
+    with _unlimited_int_digits():
+        if args.json:
+            print(json.dumps([{"numerator": _rat_json(Fraction(t.numerator)),
+                               "denominator": _rat_json(Fraction(t.denominator))}
+                              for t in collected]))
+        else:
+            for t in collected:
+                print(f"{t.numerator}\t{t.denominator}")
+    if warning is not None:
         print(f"warning: {warning}", file=sys.stderr)
         return EX_BUDGET
     return EX_OK
@@ -266,20 +263,19 @@ def _cmd_convert_s2c(args) -> int:
 
 def _cmd_convert_c2s(args) -> int:
     cf = make_cf(args.family, _parse_params(args.param))
-    partial = False
-    warning = ""
+    warning = None
     try:
         terms = euler_series_expansion(cf, args.depth)
     except ZeroContinuantError as exc:
         terms = exc.partial
-        partial = True
         warning = str(exc)
-    if args.json:
-        print(json.dumps([_rat_json(t) for t in terms]))
-    else:
-        for t in terms:
-            print(t)
-    if partial:
+    with _unlimited_int_digits():
+        if args.json:
+            print(json.dumps([_rat_json(t) for t in terms]))
+        else:
+            for t in terms:
+                print(t)
+    if warning is not None:
         print(f"warning: {warning}", file=sys.stderr)
         return EX_BUDGET
     return EX_OK
@@ -325,14 +321,14 @@ def load_manifest(path: str) -> list[IdentityCase]:
             raise ManifestError(f"{where}: {exc}") from None
         except (ValueError, ZeroDivisionError) as exc:
             raise ManifestError(f"{where}: {exc}") from None
-        tolerance = entry.get("tolerance", 1e-4)
+        tolerance = entry.get("tolerance", IdentityCase.tolerance)
         try:
             if isinstance(tolerance, bool):  # float(true) would be a tolerance of 1.0
                 raise ValueError(f"tolerance must be a number, got {tolerance!r}")
             tolerance = check_tolerance(float(tolerance), "tolerance")
         except (TypeError, ValueError) as exc:
             raise ManifestError(f"{where}: {exc}", EX_USAGE) from None
-        max_terms = entry.get("max_terms", 400_000)
+        max_terms = entry.get("max_terms", IdentityCase.max_terms)
         try:
             # int() would run 2.7 as 2 and true as 1; integral floats such as 4e5 are fine
             if isinstance(max_terms, bool) or (isinstance(max_terms, float)

@@ -427,17 +427,13 @@ def euler_series_expansion(cf: ContinuedFraction, k: int) -> list[Fraction]:
         raise ValueError("k must be positive")
     out: list[Fraction] = []
     q_prev, q = Fraction(0), Fraction(1)  # q_{-1}, q_0
-    prod = Fraction(1)
-    sign = 1
-    for j, t in enumerate(cf.terms(), start=1):
-        if j > k:
-            break
+    prod = Fraction(-1)  # (-1)^{j+1} prod_{i<=j} b_i after term j
+    for j, t in enumerate(itertools.islice(cf.terms(), k), start=1):
         q_next = t.denominator * q + t.numerator * q_prev
-        prod *= t.numerator
+        prod *= -t.numerator
         if q_next == 0:
             raise ZeroContinuantError(j, out)
-        out.append(sign * prod / (q * q_next))
-        sign = -sign
+        out.append(prod / (q * q_next))
         q_prev, q = q, q_next
     return out
 
@@ -451,45 +447,29 @@ def even_contraction(cf: ContinuedFraction) -> ContinuedFraction:
         x_{2k+2} = (a_{2k+2} a_{2k+1} + a_{2k+2} b_{2k+1}/a_{2k} + b_{2k+2}) x_{2k}
                    - (a_{2k+2} b_{2k+1} b_{2k} / a_{2k}) x_{2k-2}
 
-    The equality is exact (rational identity).  A finite fraction of odd
-    length gets one closing term so the contracted value matches the original
-    final convergent.
+    The equality is exact (rational identity).  The loop keeps r = b_{2k}/a_{2k}
+    and s = 1/a_{2k} of the last even term, seeded with r = -1 and s = 0, which
+    makes the first term (b_1 a_2, a_1 a_2 + b_2) an instance of the general
+    one.  A finite fraction of odd length gets one closing term (-b r, a + b s)
+    from its last term (b, a), so the contracted value matches the original
+    final convergent; for a one-term fraction that term is (b_1, a_1).
     """
 
     def factory() -> Iterator[PartialTerm]:
         it = cf.terms()
-        t1 = next(it, None)
-        if t1 is None:
-            return
-        t2 = next(it, None)
-        if t2 is None:
-            yield t1  # single term: v_1 is the final value, keep it
-            return
-        first_den = t1.denominator * t2.denominator + t2.numerator
-        if first_den == 0:
-            raise ContractionError(1)
-        yield PartialTerm(t1.numerator * t2.denominator, first_den)
-        b_even, a_even = as_fraction(t2.numerator), as_fraction(t2.denominator)
-        depth = 2
-        while True:
-            t_odd = next(it, None)  # original index 2k+1
-            if t_odd is None:
-                return
-            t_next = next(it, None)  # original index 2k+2
-            if t_next is None:
+        r, s = -1, 0
+        for depth, (b_odd, a_odd) in enumerate(it, start=1):  # original index 2k+1
+            t_even = next(it, None)  # original index 2k+2
+            if t_even is None:
                 # odd tail: close so the last contracted convergent is v_{2k+1}
-                yield PartialTerm(-(t_odd.numerator * b_even) / a_even,
-                                  t_odd.denominator + t_odd.numerator / a_even)
+                yield PartialTerm(-b_odd * r, a_odd + b_odd * s)
                 return
-            den = (t_next.denominator * t_odd.denominator
-                   + t_next.denominator * t_odd.numerator / a_even
-                   + t_next.numerator)
+            b_even, a_even = t_even
+            den = a_even * a_odd + a_even * b_odd * s + b_even
             if den == 0:
                 raise ContractionError(depth)
-            yield PartialTerm(-(t_next.denominator * t_odd.numerator * b_even) / a_even,
-                              den)
-            b_even, a_even = as_fraction(t_next.numerator), as_fraction(t_next.denominator)
-            depth += 1
+            yield PartialTerm(-a_even * b_odd * r, den)
+            r, s = Fraction(b_even, a_even), Fraction(1, a_even)
 
     return ContinuedFraction(cf.leading, factory)
 
@@ -519,8 +499,7 @@ def equivalence_transform(cf: ContinuedFraction, scales: Sequence[Rational]) -> 
 
     def factory() -> Iterator[PartialTerm]:
         prev = Fraction(1)
-        for k, t in enumerate(cf.terms(), start=1):
-            cur = factors[k - 1] if k <= len(factors) else Fraction(1)
+        for t, cur in zip(cf.terms(), itertools.chain(factors, itertools.repeat(Fraction(1)))):
             yield PartialTerm(prev * cur * t.numerator, cur * t.denominator)
             prev = cur
 

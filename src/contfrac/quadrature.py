@@ -159,7 +159,6 @@ def de_integral(f: Callable, domain: str = "unit", target: float = TARGET,
     if domain not in ("unit", "halfline"):
         raise ValueError("domain must be 'unit' or 'halfline'")
     total = 0.0
-    prev = None
     err = math.inf
     with np.errstate(all="ignore"):
         for level in range(level_cap + 1):
@@ -172,8 +171,8 @@ def de_integral(f: Callable, domain: str = "unit", target: float = TARGET,
             contrib = vals * w
             piece = float(np.sum(np.where(np.isfinite(contrib), contrib, 0.0)))
             h = 0.5 ** level
-            total = piece * h if level == 0 else 0.5 * total + piece * h
-            if prev is not None and level >= 2:
+            total = 0.5 * total + piece * h
+            if level >= 2:
                 err = abs(total - prev)
                 if err <= target * max(1.0, abs(total)):
                     return QuadratureResult(total, err, level, True)

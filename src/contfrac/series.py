@@ -13,7 +13,10 @@ examples: numerators all 1 with denominators 1,2,3,4,... gives the fraction
 for log 2; denominators 1,3,5,7,... gives Brouncker's fraction for pi/4.
 
 A ``SeriesSpec`` is one stream of exact pairs (n_j, d_j).  The transform reads
-it once, in order: term k of the fraction needs pairs 0..k-1 only.
+it once, in order: term k of the fraction needs pairs 0..k-1 only.  It divides
+by every n_j and d_j and by every pivot n_{j-1} d_j - n_j d_{j-1}, so it stops
+at the first zero series term or zero pivot with ``ZeroPivotError``; the
+terms made before it stand as a partial result.
 """
 
 from __future__ import annotations
@@ -27,11 +30,13 @@ from .core import ContinuedFraction, ContinuedFractionError, Rational, as_fracti
 
 
 class ZeroPivotError(ContinuedFractionError):
-    """The transform divides by n_{k-1} d_k - n_k d_{k-1}; it vanished."""
+    """Term ``depth`` of the transform divides by zero: by the series term
+    n_j/d_j with j = depth - 1, or by the pivot n_{j-1} d_j - n_j d_{j-1}."""
 
     def __init__(self, depth: int):
         self.depth = depth
-        super().__init__(f"zero pivot at depth {depth}; conversion stops with a partial result")
+        super().__init__(f"zero pivot or zero series term at depth {depth}; "
+                         "conversion stops with a partial result")
 
 
 @dataclass(frozen=True)
@@ -84,8 +89,9 @@ class SeriesSpec:
 def series_to_cf(series: SeriesSpec) -> ContinuedFraction:
     """Continued fraction whose convergents are the partial sums, exactly.
 
-    Requires at least two series terms.  A zero pivot aborts the conversion
-    at that depth (``ZeroPivotError``); terms already generated stand as a
+    Requires at least two series terms.  A zero series term (n_j = 0 or
+    d_j = 0) or a zero pivot n_{j-1} d_j - n_j d_{j-1} aborts the conversion
+    at depth j + 1 (``ZeroPivotError``); terms already generated stand as a
     partial result.
     """
     if len(list(itertools.islice(series.pairs(), 2))) < 2:
@@ -94,12 +100,14 @@ def series_to_cf(series: SeriesSpec) -> ContinuedFraction:
     def factory():
         it = series.pairs()
         n_prev1, d_prev1 = next(it)
+        if not (n_prev1 and d_prev1):
+            raise ZeroPivotError(1)
         yield term(n_prev1, d_prev1)
         # n_{-1} = 1 makes term 2 an instance of the general term
         n_prev2 = 1
         for depth, (nk, dk) in enumerate(it, 2):
             pivot = n_prev1 * dk - nk * d_prev1
-            if pivot == 0:
+            if not (pivot and nk and dk):
                 raise ZeroPivotError(depth)
             yield term(n_prev2 * nk * d_prev1 * d_prev1, pivot)
             n_prev2, n_prev1, d_prev1 = n_prev1, nk, dk

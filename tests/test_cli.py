@@ -19,6 +19,7 @@ from contfrac.cli import (
     EX_USAGE,
     main,
 )
+from contfrac.core import euler_series_expansion
 from contfrac.riccati import RiccatiProblem, solve_riccati
 
 REPORT_KEYS = {"family", "params", "value", "lower", "upper", "reference",
@@ -168,6 +169,33 @@ def test_convert_zero_pivot_gives_partial_and_exit_2(capsys):
     assert code == EX_BUDGET
     assert out.strip().splitlines() == ["1\t2"]
     assert "zero pivot" in err
+
+
+def test_convert_zero_series_term_gives_partial_and_exit_2(capsys):
+    # series term 1 is 0/2: its convergents were 1, 1, undefined, undefined
+    # against the partial sums 1, 1, 4/3, 13/12
+    code, out, err = run(capsys, "convert", "series-to-cf",
+                         "--numerators", "1,0,1,1", "--denominators", "1,2,3,4")
+    assert code == EX_BUDGET
+    assert out.strip().splitlines() == ["1\t1"]
+    assert "zero series term at depth 2" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_convert_cf_to_series_prints_terms_past_the_int_digit_limit(capsys, fmt):
+    # from term 860 on, the denominators have more digits than Python's
+    # default int-to-str limit of 4300
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, _ = run(capsys, "convert", "cf-to-series", "--family", "e-euler",
+                       "--depth", "900", *(["--json"] if fmt == "json" else []))
+    assert code == EX_OK
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    last = euler_series_expansion(catalog.make_cf("e-euler", {}), 900)[-1]
+    with cli._unlimited_int_digits():
+        if fmt == "json":
+            assert json.loads(out)[-1] == str(last)
+        else:
+            assert out.splitlines()[-1] == str(last)
 
 
 # ------------------------------------------------------------ verify

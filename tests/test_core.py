@@ -1,12 +1,17 @@
+import itertools
+import json
 import math
+import pathlib
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contfrac.catalog import make_cf
 from contfrac.core import (
     ContinuedFraction,
+    ContractionError,
     EvalStatus,
     PositivityClass,
     ZeroContinuantError,
@@ -19,6 +24,14 @@ from contfrac.core import (
     positivity_class,
 )
 from conftest import rand_fraction, random_positive_cf
+
+#: the first 10 even-contraction terms (or the error that ends them early) of
+#: 200 seeded signed rational fractions of length 0-9 and of every catalog
+#: family at the golden_terms.json points, recorded with the contraction that
+#: wrote its first term, a one-term fraction and its depth counter as special
+#: cases
+GOLDEN_CONTRACTION = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "golden_contraction.json").read_text())
 
 
 def brouncker_cf():
@@ -210,6 +223,12 @@ def test_series_expansion_stops_at_zero_continuant():
     assert exc_info.value.partial == [F(1)]
 
 
+def test_series_expansion_reads_only_k_terms():
+    # term 2 has a zero denominator; one series term needs term 1 only
+    cf = ContinuedFraction.from_pairs(0, [(1, 1), (1, 0)])
+    assert euler_series_expansion(cf, 1) == [F(1)]
+
+
 # ------------------------------------------------------------ even contraction
 
 def test_even_contraction_log2_gives_even_partial_sums():
@@ -248,6 +267,60 @@ def test_even_contraction_finite_odd_length_preserves_value():
     original = convergent_sequence(cf, 3)[-1].value
     contracted = convergent_sequence(even_contraction(cf), 5)
     assert contracted[-1].value == original
+
+
+def test_even_contraction_of_empty_and_one_term_fractions():
+    assert even_contraction(ContinuedFraction.from_pairs(3, [])).take(5) == []
+    cf = ContinuedFraction.from_pairs(-1, [(F(2, 3), 5)])
+    contracted = even_contraction(cf)
+    assert contracted.leading == -1 and contracted.take(5) == [(F(2, 3), 5)]
+    assert convergent_sequence(contracted, 5)[-1].value == convergent_sequence(cf, 1)[-1].value
+
+
+def test_even_contraction_undefined_at_depth_1():
+    # a_1 a_2 + b_2 = 1 - 1 = 0
+    with pytest.raises(ContractionError) as exc_info:
+        even_contraction(ContinuedFraction.from_pairs(0, [(1, 1), (-1, 1), (1, 1)])).take(3)
+    assert exc_info.value.depth == 1
+
+
+def test_even_contraction_undefined_at_a_later_depth_keeps_earlier_terms():
+    # depth 2: a_4 a_3 + a_4 b_3 / a_2 + b_4 = 1 + 1 - 2 = 0
+    it = even_contraction(ContinuedFraction.from_pairs(0, [(1, 1)] * 3 + [(-2, 1)])).terms()
+    assert next(it) == (1, 2)
+    with pytest.raises(ContractionError) as exc_info:
+        next(it)
+    assert exc_info.value.depth == 2
+
+
+def _golden_exact(text):
+    # integral values as ints, the rest as Fractions: fractions that mix both
+    return int(text) if "/" not in text else F(text)
+
+
+def _contracted_or_error(cf):
+    terms = []
+    try:
+        for t in itertools.islice(even_contraction(cf).terms(), 10):
+            terms.append(t)
+    except ContractionError as exc:
+        return terms, ["ContractionError", exc.depth]
+    except ZeroDenominatorError as exc:
+        return terms, ["ZeroDenominatorError", exc.index]
+    return terms, None
+
+
+@pytest.mark.parametrize("key", ["fractions", "families"])
+def test_even_contraction_matches_golden_terms(key):
+    for entry in GOLDEN_CONTRACTION[key]:
+        if key == "fractions":
+            cf = ContinuedFraction.from_pairs(
+                F(entry["leading"]), [tuple(map(_golden_exact, p)) for p in entry["pairs"]])
+        else:
+            cf = make_cf(entry["family"], {k: F(v) for k, v in entry["params"].items()})
+        terms, error = _contracted_or_error(cf)
+        assert terms == [(F(b), F(a)) for b, a in entry["contracted"]], entry
+        assert error == entry["error"], entry
 
 
 # ------------------------------------------------------------ positivity

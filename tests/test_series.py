@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contfrac.core import convergent_sequence, euler_series_expansion, eval_float
+from contfrac.core import (
+    ContinuedFraction,
+    convergent_sequence,
+    euler_series_expansion,
+    eval_float,
+)
 from contfrac.series import (
     GaussLemmaParams,
     SeriesSpec,
@@ -54,6 +59,58 @@ def test_zero_pivot_aborts_with_partial_result():
             collected.append(t)
     assert exc_info.value.depth == 2
     assert len(collected) == 1  # the partial result stands
+
+
+def collect(cf):
+    """Terms of ``cf`` up to its end or its ZeroPivotError, and that error."""
+    collected = []
+    try:
+        for t in cf.terms():
+            collected.append(t)
+    except ZeroPivotError as exc:
+        return collected, exc
+    return collected, None
+
+
+def test_zero_series_numerator_stops_the_transform():
+    # series term 1 is 0/2: the fraction went on with convergents 1, 1,
+    # undefined, undefined against the partial sums 1, 1, 4/3, 13/12
+    collected, exc = collect(series_to_cf(SeriesSpec.from_lists([1, 0, 1, 1], [1, 2, 3, 4])))
+    assert exc.depth == 2 and "zero series term" in str(exc)
+    assert [(t.numerator, t.denominator) for t in collected] == [(1, 1)]
+
+
+def test_zero_series_denominator_stops_evaluation():
+    # series term 2 is 1/0; eval_float reported terminated-finite at 0.5
+    spec = SeriesSpec.from_rules(lambda j: 1, lambda j: j - 2)
+    with pytest.raises(ZeroPivotError) as exc_info:
+        eval_float(series_to_cf(spec), 1e-6, 50)
+    assert exc_info.value.depth == 3
+
+
+def test_zero_first_series_term_stops_before_any_term():
+    for nums, dens in (([0, 1], [1, 2]), ([1, 1], [0, 2])):
+        collected, exc = collect(series_to_cf(SeriesSpec(lambda: iter(zip(nums, dens)))))
+        assert collected == [] and exc.depth == 1
+
+
+small_or_zero = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3,
+                                                       max_denominator=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(small_or_zero, small_or_zero), min_size=2, max_size=8))
+def test_every_term_before_a_stop_has_its_partial_sum(pairs):
+    spec = SeriesSpec(lambda: iter(pairs))
+    collected, exc = collect(series_to_cf(spec))
+    if exc is not None:
+        assert exc.depth == len(collected) + 1
+    else:
+        assert len(collected) == len(pairs)
+    if collected:
+        convergents = convergent_sequence(ContinuedFraction.from_pairs(0, collected),
+                                          len(collected))
+        assert [c.value for c in convergents] == spec.partial_sums(len(collected))
 
 
 def test_series_validation():
