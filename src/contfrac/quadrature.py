@@ -9,17 +9,28 @@ The quadrature engine drives two variable transforms:
 * exp-sinh on (0, inf) for integrands with (super)exponential decay.
 
 Estimates are refined by halving the mesh until two successive levels agree
-to the requested target, with a hard level cap.
+to the requested target, with a hard level cap.  Every call needs levels 0-2
+(the stopping test starts at level 2) and in practice reaches level 3, so
+the nodes of levels 0-3 are joined into one cached array per domain and the
+integrand is called once on them; each level then sums its own slice, as it
+would its own call.  Levels 4 and up call the integrand once each.  The join
+is exact because integrands are elementwise: each output depends only on its
+own node.  The joined call runs inside ``np.errstate(all="ignore")`` like
+every other level, so overflow or a log of 0 at a far node is masked, never
+raised as a ``RuntimeWarning``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+
+from .core import check_tolerance
 
 
 class QuadratureError(Exception):
@@ -83,6 +94,7 @@ def sqrt_kernel_integral(pp: float, r: float) -> float:
 # --------------------------------------------------------------------------
 
 _LEVEL_CAP = 12
+_JOINED = 3  # levels 0.._JOINED share one integrand call
 _HALF_PI = 0.5 * math.pi
 # Trim where the transformed complement underflows; the double-exponential
 # weight decay has long since drowned any algebraic endpoint singularity.
@@ -137,6 +149,28 @@ def _halfline_nodes(level: int):
     return x, w
 
 
+def _level_nodes(domain: str, level: int):
+    return _unit_nodes(level) if domain == "unit" else _halfline_nodes(level)
+
+
+@lru_cache(maxsize=None)
+def _joined_nodes(domain: str):
+    """Nodes of levels 0.._JOINED joined field by field, and the cuts:
+    level k is ``[cuts[k]:cuts[k + 1]]`` of the joined arrays."""
+    levels = [_level_nodes(domain, level) for level in range(_JOINED + 1)]
+    fields = tuple(np.concatenate(field) for field in zip(*levels))
+    for a in fields:
+        a.setflags(write=False)
+    return fields, tuple(itertools.accumulate((len(nodes[0]) for nodes in levels), initial=0))
+
+
+def _contributions(f: Callable, nodes) -> np.ndarray:
+    """Weighted integrand values at the nodes, non-finite ones set to 0."""
+    *args, w = nodes
+    contrib = np.asarray(f(*args), dtype=float) * w
+    return np.where(np.isfinite(contrib), contrib, 0.0)
+
+
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float
@@ -152,24 +186,27 @@ def de_integral(f: Callable, domain: str = "unit", target: float = TARGET,
     domain "unit": integral over (0, 1); ``f(x, one_minus_x)`` must accept
     numpy arrays.  domain "halfline": integral over (0, inf); ``f(x)``.
     Levels double the node density until successive estimates differ by at
-    most ``target`` (absolutely, or relatively for large values).
+    most ``target`` (absolutely, or relatively for large values), from level
+    2 up to ``level_cap``.  ``f`` must be elementwise (each output depends
+    only on its own node; a scalar is fine): levels 0-3 are evaluated in one
+    call on their joined nodes, inside ``np.errstate(all="ignore")``, and
+    each later level in a call of its own.
     """
-    if target <= 0:
-        raise ValueError("target must be positive")
+    check_tolerance(target, "target")
     if domain not in ("unit", "halfline"):
         raise ValueError("domain must be 'unit' or 'halfline'")
+    if level_cap < 2:
+        raise ValueError(f"level_cap must be at least 2, got {level_cap!r}")
     total = 0.0
     err = math.inf
     with np.errstate(all="ignore"):
+        nodes, cuts = _joined_nodes(domain)
+        joined = _contributions(f, nodes)
         for level in range(level_cap + 1):
-            if domain == "unit":
-                x, cx, w = _unit_nodes(level)
-                vals = np.asarray(f(x, cx), dtype=float)
+            if level <= _JOINED:
+                piece = float(np.sum(joined[cuts[level]:cuts[level + 1]]))
             else:
-                x, w = _halfline_nodes(level)
-                vals = np.asarray(f(x), dtype=float)
-            contrib = vals * w
-            piece = float(np.sum(np.where(np.isfinite(contrib), contrib, 0.0)))
+                piece = float(np.sum(_contributions(f, _level_nodes(domain, level))))
             h = 0.5 ** level
             total = 0.5 * total + piece * h
             if level >= 2:

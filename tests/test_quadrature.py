@@ -5,8 +5,12 @@ import pytest
 
 from contfrac.quadrature import (
     PowerBinomialIntegrand,
+    QuadratureResult,
     beta,
     contiguous_relation_check,
+    _halfline_nodes,
+    _level_nodes,
+    _unit_nodes,
     de_integral,
     gaussian_tail_integral,
     log_gamma,
@@ -119,6 +123,91 @@ def test_de_rejects_bad_arguments():
         de_integral(lambda x, cx: x, "unit", 0.0)
     with pytest.raises(ValueError):
         de_integral(lambda x: x, "diagonal", 1e-10)
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, -1e-10])
+def test_de_rejects_a_target_that_is_not_finite_positive(target):
+    with pytest.raises(ValueError, match="finite positive"):
+        de_integral(lambda x, cx: x, "unit", target)
+
+
+@pytest.mark.parametrize("level_cap", [-1, 0, 1])
+def test_de_rejects_a_level_cap_below_the_first_stopping_test(level_cap):
+    # the stopping test compares levels 1 and 2, so a cap below 2 can never pass
+    with pytest.raises(ValueError, match="level_cap"):
+        de_integral(lambda x, cx: x, "unit", 1e-10, level_cap)
+
+
+def _de_level_by_level(f, domain, target, level_cap):
+    """de_integral as it was before levels 0-3 were joined: one integrand
+    call per level."""
+    total = 0.0
+    err = math.inf
+    with np.errstate(all="ignore"):
+        for level in range(level_cap + 1):
+            if domain == "unit":
+                x, cx, w = _unit_nodes(level)
+                vals = np.asarray(f(x, cx), dtype=float)
+            else:
+                x, w = _halfline_nodes(level)
+                vals = np.asarray(f(x), dtype=float)
+            contrib = vals * w
+            piece = float(np.sum(np.where(np.isfinite(contrib), contrib, 0.0)))
+            h = 0.5 ** level
+            total = 0.5 * total + piece * h
+            if level >= 2:
+                err = abs(total - prev)
+                if err <= target * max(1.0, abs(total)):
+                    return QuadratureResult(total, err, level, True)
+            prev = total
+    return QuadratureResult(total, err, level_cap, False)
+
+
+def _seeded_integrands(rng):
+    """(f, domain) pairs: power-binomial, Gaussian-tail, F11-style
+    exponential-Beta, scalar-returning and the divergent 1/x."""
+    out = []
+    for _ in range(12):
+        out.append((PowerBinomialIntegrand(
+            alpha=rng.uniform(0.05, 6.0), r=rng.uniform(0.2, 4.0), beta=rng.uniform(-0.95, 3.0),
+            gamma_exp=rng.choice([0.0, rng.uniform(-2.0, 2.0)]),
+            p=rng.uniform(0.5, 2.0), q=rng.uniform(-0.4, 2.0)), "unit"))
+        e, inv, b = rng.uniform(-0.9, 4.0), 0.5 / rng.uniform(0.1, 5.0), rng.uniform(0.0, 3.0)
+        out.append((lambda x, e=e, inv=inv, b=b:
+                    np.exp(e * np.log(x) - (2.0 * b * x + x * x) * inv), "halfline"))
+        k, u, ed = rng.uniform(-3.0, 3.0), rng.uniform(-0.9, 3.0), rng.uniform(-0.9, 3.0)
+        out.append((lambda x, cx, k=k, u=u, ed=ed:
+                    np.exp(k * x + u * np.log(x) + ed * np.log(cx)), "unit"))
+    out.append((lambda x, cx: 2.5, "unit"))
+    out.append((lambda x: 0.25, "halfline"))
+    out.append((lambda x, cx: 1.0 / x, "unit"))
+    return out
+
+
+@pytest.mark.parametrize("level_cap", [2, 3, 4, 5, 6, 7])
+def test_joined_levels_equal_level_by_level_evaluation(rng, level_cap):
+    # == on every field: value, error_estimate, levels_used, converged
+    for f, domain in _seeded_integrands(rng):
+        for target in (1e-6, 1e-11, 1e-14):
+            assert de_integral(f, domain, target, level_cap) == \
+                _de_level_by_level(f, domain, target, level_cap), (f, domain, target)
+
+
+@pytest.mark.parametrize("domain", ["unit", "halfline"])
+@pytest.mark.parametrize("level_cap", [2, 3, 4, 6])
+def test_levels_0_to_3_take_one_integrand_call(domain, level_cap):
+    seen = []
+
+    def counted(x, *rest):
+        seen.append(len(x))
+        return np.exp(-x) / np.sqrt(x)
+
+    for target in (1e-4, 1e-8, 1e-13):
+        seen.clear()
+        res = de_integral(counted, domain, target, level_cap)
+        assert len(seen) == 1 + max(0, res.levels_used - 3)
+        assert sum(seen) == sum(len(_level_nodes(domain, level)[0])
+                                for level in range(max(res.levels_used, 3) + 1))
 
 
 # ------------------------------------------------------------ named kernels
