@@ -18,6 +18,12 @@ is exact because integrands are elementwise: each output depends only on its
 own node.  The joined call runs inside ``np.errstate(all="ignore")`` like
 every other level, so overflow or a log of 0 at a far node is masked, never
 raised as a ``RuntimeWarning``.
+
+log x of the unit nodes is computed once per node array, when the cached
+per-level and joined arrays are built.  ``PowerBinomialIntegrand`` looks it
+up by the identity of the array it is called on; any other array, even one
+with equal values, gets a fresh computation.  Integrands keep the
+``f(x, cx)`` / ``f(x)`` protocol.
 """
 
 from __future__ import annotations
@@ -59,8 +65,17 @@ _LANCZOS = (
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
+def _check_finite(**params: float) -> None:
+    """Reject a NaN or infinite parameter with ``ValueError``: it would pass
+    the sign checks below and give a silently wrong result."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
+    _check_finite(x=x)
     if x <= 0:
         raise ValueError("log_gamma requires x > 0")
     z = x - 1.0
@@ -73,6 +88,7 @@ def log_gamma(x: float) -> float:
 
 def beta(a: float, b: float) -> float:
     """Beta function B(a, b) for positive arguments."""
+    _check_finite(a=a, b=b)
     if a <= 0 or b <= 0:
         raise ValueError("beta requires positive arguments")
     return math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
@@ -84,6 +100,7 @@ def sqrt_kernel_integral(pp: float, r: float) -> float:
     Integral over (0, 1) of y^(pp-1) (1 - y^(2r))^(-1/2) dy, which the
     substitution u = y^(2r) turns into B(pp/(2r), 1/2) / (2r).
     """
+    _check_finite(pp=pp, r=r)
     if pp <= 0 or r <= 0:
         raise ValueError("sqrt_kernel_integral requires pp > 0 and r > 0")
     return beta(pp / (2.0 * r), 0.5) / (2.0 * r)
@@ -100,6 +117,33 @@ _HALF_PI = 0.5 * math.pi
 # weight decay has long since drowned any algebraic endpoint singularity.
 _T_MAX_UNIT = 6.1
 _T_MAX_HALF = 6.8
+
+
+def _stable_log(x: np.ndarray, cx: np.ndarray) -> np.ndarray:
+    """log(x) computed from whichever of x, 1-x is known more accurately."""
+    return np.where(cx < 0.5, np.log1p(-cx), np.log(np.maximum(x, np.finfo(float).tiny)))
+
+
+# id(x) -> (x, cx, log x) for each cached unit node array.  The entry holds x
+# itself, so no other array can take its id while the entry lives.
+_NODE_LOGS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _cache_log(x: np.ndarray, cx: np.ndarray) -> None:
+    # np.where evaluates log1p(-cx) everywhere, and cx is 1.0 at the nodes nearest 0
+    with np.errstate(divide="ignore"):
+        lx = _stable_log(x, cx)
+    lx.setflags(write=False)
+    _NODE_LOGS[id(x)] = (x, cx, lx)
+
+
+def _node_log(x: np.ndarray, cx: np.ndarray) -> np.ndarray:
+    """``_stable_log(x, cx)``, looked up when (x, cx) is a cached unit node
+    array pair and computed otherwise."""
+    hit = _NODE_LOGS.get(id(x))
+    if hit is not None and hit[1] is cx:
+        return hit[2]
+    return _stable_log(x, cx)
 
 
 def _level_grid(level: int, t_max: float) -> np.ndarray:
@@ -128,6 +172,7 @@ def _unit_nodes(level: int):
     x.setflags(write=False)
     cx.setflags(write=False)
     ww.setflags(write=False)
+    _cache_log(x, cx)
     return x, cx, ww
 
 
@@ -137,11 +182,13 @@ def _halfline_nodes(level: int):
     ts = _level_grid(level, _T_MAX_HALF)
     z = _HALF_PI * np.sinh(ts)
     coshes = _HALF_PI * np.cosh(ts)
-    xp = np.exp(z)
+    with np.errstate(over="ignore"):  # the far nodes overflow; trimmed below
+        xp = np.exp(z)
+        w_hi = xp * coshes
     xm = np.exp(-z)
     pos = ts > 0
     x = np.concatenate([xp, xm[pos]])
-    w = np.concatenate([xp * coshes, xm[pos] * coshes[pos]])
+    w = np.concatenate([w_hi, xm[pos] * coshes[pos]])
     keep = (x > 0.0) & np.isfinite(x) & (w > 0.0) & np.isfinite(w)
     x, w = x[keep], w[keep]
     x.setflags(write=False)
@@ -161,14 +208,17 @@ def _joined_nodes(domain: str):
     fields = tuple(np.concatenate(field) for field in zip(*levels))
     for a in fields:
         a.setflags(write=False)
+    if domain == "unit":
+        _cache_log(*fields[:2])
     return fields, tuple(itertools.accumulate((len(nodes[0]) for nodes in levels), initial=0))
 
 
 def _contributions(f: Callable, nodes) -> np.ndarray:
     """Weighted integrand values at the nodes, non-finite ones set to 0."""
     *args, w = nodes
-    contrib = np.asarray(f(*args), dtype=float) * w
-    return np.where(np.isfinite(contrib), contrib, 0.0)
+    contrib = np.asarray(f(*args), dtype=float) * w  # a fresh array
+    contrib[~np.isfinite(contrib)] = 0.0
+    return contrib
 
 
 @dataclass(frozen=True)
@@ -204,9 +254,9 @@ def de_integral(f: Callable, domain: str = "unit", target: float = TARGET,
         joined = _contributions(f, nodes)
         for level in range(level_cap + 1):
             if level <= _JOINED:
-                piece = float(np.sum(joined[cuts[level]:cuts[level + 1]]))
+                piece = float(np.add.reduce(joined[cuts[level]:cuts[level + 1]]))
             else:
-                piece = float(np.sum(_contributions(f, _level_nodes(domain, level))))
+                piece = float(np.add.reduce(_contributions(f, _level_nodes(domain, level))))
             h = 0.5 ** level
             total = 0.5 * total + piece * h
             if level >= 2:
@@ -215,11 +265,6 @@ def de_integral(f: Callable, domain: str = "unit", target: float = TARGET,
                     return QuadratureResult(total, err, level, True)
             prev = total
     return QuadratureResult(total, err, level_cap, False)
-
-
-def _stable_log(x: np.ndarray, cx: np.ndarray) -> np.ndarray:
-    """log(x) computed from whichever of x, 1-x is known more accurately."""
-    return np.where(cx < 0.5, np.log1p(-cx), np.log(np.maximum(x, np.finfo(float).tiny)))
 
 
 @dataclass(frozen=True)
@@ -240,6 +285,8 @@ class PowerBinomialIntegrand:
     q: float = 0.0
 
     def __post_init__(self):
+        _check_finite(alpha=self.alpha, r=self.r, beta=self.beta,
+                      gamma_exp=self.gamma_exp, p=self.p, q=self.q)
         if self.alpha <= 0:
             raise ValueError("alpha must be positive (integrability at 0)")
         if self.r <= 0:
@@ -250,11 +297,12 @@ class PowerBinomialIntegrand:
             raise ValueError("p + q x^r must stay positive on (0, 1)")
 
     def __call__(self, x: np.ndarray, cx: np.ndarray) -> np.ndarray:
-        lx = _stable_log(x, cx)
-        one_minus_xr = -np.expm1(self.r * lx)
+        lx = _node_log(x, cx)
+        rlx = self.r * lx
+        one_minus_xr = -np.expm1(rlx)
         out = (self.alpha - 1.0) * lx + self.beta * np.log(one_minus_xr)
         if self.gamma_exp != 0.0:
-            out = out + self.gamma_exp * np.log(self.p + self.q * np.exp(self.r * lx))
+            out = out + self.gamma_exp * np.log(self.p + self.q * np.exp(rlx))
         return np.exp(out)
 
     def integral(self, target: float = TARGET) -> float:
@@ -267,6 +315,7 @@ class PowerBinomialIntegrand:
 
 def reciprocal_kernel_integral(h: float, r: float, target: float = TARGET) -> float:
     """Integral over (0, 1) of x^(h-1) / (1 + x^r) dx."""
+    _check_finite(h=h, r=r)
     if h <= 0:
         raise ValueError("h must be positive")
     if r <= 0:
@@ -277,6 +326,7 @@ def reciprocal_kernel_integral(h: float, r: float, target: float = TARGET) -> fl
 
 def gaussian_tail_integral(e: float, alpha: float, b: float, target: float = TARGET) -> float:
     """Integral over (0, inf) of R^e exp(-(2 b R + R^2) / (2 alpha)) dR."""
+    _check_finite(e=e, alpha=alpha, b=b)
     if e <= -1:
         raise ValueError("e must exceed -1")
     if alpha <= 0:

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from contfrac import quadrature
 from contfrac.quadrature import (
     PowerBinomialIntegrand,
     QuadratureResult,
     beta,
     contiguous_relation_check,
     _halfline_nodes,
+    _joined_nodes,
     _level_nodes,
     _unit_nodes,
     de_integral,
@@ -208,6 +210,102 @@ def test_levels_0_to_3_take_one_integrand_call(domain, level_cap):
         assert len(seen) == 1 + max(0, res.levels_used - 3)
         assert sum(seen) == sum(len(_level_nodes(domain, level)[0])
                                 for level in range(max(res.levels_used, 3) + 1))
+
+
+def _non_finite_at_the_ends(x, cx):
+    """x, with NaN at the nodes nearest 0 and +inf at those nearest 1."""
+    return np.where(x < 1e-3, np.nan, np.where(cx < 1e-3, np.inf, x))
+
+
+# a writable array the integrand below hands back for the joined unit nodes
+_JOINED_X, _JOINED_CX, _ = _joined_nodes("unit")[0]
+_HELD = _non_finite_at_the_ends(_JOINED_X, _JOINED_CX)
+
+
+def _returns_held(x, cx):
+    return _HELD if x is _JOINED_X else _non_finite_at_the_ends(x, cx)
+
+
+@pytest.mark.parametrize("level_cap", [2, 4, 6])
+def test_masking_writes_only_into_its_own_product_array(level_cap):
+    assert np.isnan(_HELD).any() and np.isinf(_HELD).any()
+    held = _HELD.copy()
+    cached = [_joined_nodes(domain)[0] for domain in ("unit", "halfline")]
+    cached += [_level_nodes(domain, level) for domain in ("unit", "halfline")
+               for level in range(level_cap + 1)]
+    before = [[a.copy() for a in nodes] for nodes in cached]
+    cases = [(_returns_held, "unit"), (lambda x, cx: x, "unit"), (lambda x: x, "halfline")]
+    for f, domain in cases:
+        for target in (1e-6, 1e-11, 1e-14):
+            assert de_integral(f, domain, target, level_cap) == \
+                _de_level_by_level(f, domain, target, level_cap), (f, domain, target)
+    assert np.array_equal(_HELD, held, equal_nan=True)
+    for nodes, copies in zip(cached, before):
+        for a, copy in zip(nodes, copies):
+            assert np.array_equal(a, copy)
+
+
+def _power_binomials(rng):
+    out = [PowerBinomialIntegrand(alpha=0.4, r=1.0, beta=-0.5),
+           PowerBinomialIntegrand(alpha=2.5, r=0.3, beta=1.5, gamma_exp=-1.0, p=1.0, q=1.0)]
+    for _ in range(6):
+        out.append(PowerBinomialIntegrand(
+            alpha=rng.uniform(0.05, 6.0), r=rng.uniform(0.2, 4.0), beta=rng.uniform(-0.95, 3.0),
+            gamma_exp=rng.choice([0.0, rng.uniform(-2.0, 2.0)]),
+            p=rng.uniform(0.5, 2.0), q=rng.uniform(-0.4, 2.0)))
+    return out
+
+
+@pytest.mark.parametrize("nodes", [f"level {level}" for level in range(13)] + ["joined"])
+def test_cached_node_logs_equal_computed_ones(rng, monkeypatch, nodes):
+    # the node log cache is keyed by array identity: the library's own node
+    # arrays take the cached log, and any other array, even a read-only one
+    # with equal values, computes it
+    x, cx = (_joined_nodes("unit")[0] if nodes == "joined"
+             else _unit_nodes(int(nodes.split()[1])))[:2]
+    assert (cx < 0.5).any() and (cx >= 0.5).any()  # both _stable_log branches
+    frozen = [x.copy(), cx.copy()]
+    for a in frozen:
+        a.setflags(write=False)
+    stable_log = quadrature._stable_log
+    computed = []
+
+    def counted(*args):
+        computed.append(args[0])
+        return stable_log(*args)
+
+    monkeypatch.setattr(quadrature, "_stable_log", counted)
+    for f in _power_binomials(rng):
+        with np.errstate(all="ignore"):
+            cached = f(x, cx)
+            assert not computed
+            for copies in ([x.copy(), cx.copy()], frozen):
+                assert np.array_equal(cached, f(*copies), equal_nan=True), (f, copies)
+                assert computed.pop() is copies[0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["alpha", "r", "beta", "gamma_exp", "p", "q"])
+def test_power_binomial_integrand_rejects_non_finite_parameters(name, bad):
+    params = dict(alpha=1.5, r=1.0, beta=0.5, gamma_exp=-1.0, p=1.0, q=1.0)
+    params[name] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        PowerBinomialIntegrand(**params)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fn, args", [
+    (gaussian_tail_integral, (1.0, 1.0, 0.0)),
+    (sqrt_kernel_integral, (1.0, 1.0)),
+    (reciprocal_kernel_integral, (1.0, 1.0)),
+    (beta, (1.0, 1.0)),
+    (log_gamma, (1.0,)),
+], ids=["gaussian_tail_integral", "sqrt_kernel_integral", "reciprocal_kernel_integral",
+        "beta", "log_gamma"])
+def test_oracles_reject_non_finite_arguments(fn, args, bad):
+    for i in range(len(args)):
+        with pytest.raises(ValueError, match="must be finite"):
+            fn(*args[:i], bad, *args[i + 1:])
 
 
 # ------------------------------------------------------------ named kernels
