@@ -17,7 +17,6 @@ from .core import (
     PositivityClass,
     TermUnderflowError,
     ZeroContinuantError,
-    ZeroDenominatorError,
     as_fraction,
     convergent_iter,
     convergent_sequence,

@@ -431,8 +431,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
     # a parameter point the command cannot evaluate: an unknown family or
-    # parameter, a violated constraint (a ValueError), an undefined term, a
-    # float overflow or zero division, unconverged quadrature, or an ODE pole
+    # parameter, a violated constraint (a ValueError), a nonzero term that
+    # rounds to 0.0, a float overflow or zero division, unconverged
+    # quadrature, or an ODE pole
     except (UnknownFamilyError, ValueError, ArithmeticError, ContinuedFractionError,
             QuadratureError, PoleEncounteredError) as exc:
         print(f"error: {exc}", file=sys.stderr)

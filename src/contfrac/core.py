@@ -37,14 +37,6 @@ class ContinuedFractionError(Exception):
     """Base class for continued-fraction evaluation errors."""
 
 
-class ZeroDenominatorError(ContinuedFractionError):
-    """A generated partial denominator was zero."""
-
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"partial denominator at index {index} is zero")
-
-
 class TermUnderflowError(ContinuedFractionError):
     """A nonzero exact partial term rounded to 0.0 as a float."""
 
@@ -216,34 +208,25 @@ class _EndOfFraction(Exception):
     which ends the fraction before it; ``eval_float`` catches this."""
 
 
-def _zero_term(b: Rational, a: Rational, k: int):
-    """Raise for term k, whose numerator or denominator is zero: a zero
-    denominator leaves the fraction undefined, else the zero numerator ends it."""
-    if a == 0:
-        raise ZeroDenominatorError(k)
-    raise _EndOfFraction(k)
-
-
 def _checked_floats(pairs: Iterable[Tuple[Rational, Rational]]):
     """(float(b_k), float(a_k)) for a stream of exact terms numbered from 1,
-    one at a time.  A zero term raises through ``_zero_term`` and a nonzero
+    one at a time.  A zero numerator raises ``_EndOfFraction`` and a nonzero
     term that rounds to 0.0 raises ``TermUnderflowError``, each at the term's
-    index once the consumer reaches it."""
+    index once the consumer reaches it; a zero denominator is 0.0."""
     for k, (b, a) in enumerate(pairs, 1):
-        if not (b and a):
-            _zero_term(b, a, k)
+        if not b:
+            raise _EndOfFraction(k)
         fb, fa = float(b), float(a)
-        if fb == 0.0 or fa == 0.0:
+        if fb == 0.0 or (fa == 0.0 and a):
             raise TermUnderflowError(k)
         yield fb, fa
 
 
 def _lazy_floats(spec: TermSpec, k0: int, k1: int):
     """(b_k, a_k) as N_b(k)/D_b and N_a(k)/D_a for k0 <= k < k1, one term at
-    a time; the first k with N_b(k) or N_a(k) zero raises through
-    ``_zero_term``.  Int true division rounds correctly, so each value is
-    float() of the exact term; one that overflows raises OverflowError at its
-    own index."""
+    a time; the first k with N_b(k) zero raises ``_EndOfFraction``.  Int true
+    division rounds correctly, so each value is float() of the exact term; one
+    that overflows raises OverflowError at its own index."""
     nb, db, na, da = spec.b.ints, spec.b.den, spec.a.ints, spec.a.den
     for k in range(k0, k1):
         n = m = 0
@@ -251,8 +234,8 @@ def _lazy_floats(spec: TermSpec, k0: int, k1: int):
             n = n * k + c
         for c in na:
             m = m * k + c
-        if not (n and m):
-            _zero_term(n, m, k)
+        if not n:
+            raise _EndOfFraction(k)
         yield n / db, m / da
 
 
@@ -295,10 +278,11 @@ def _spec_chunks(spec: TermSpec, max_terms: int):
     sum |c_i| k_max**i <= 2**53 (coefficients c_i, last index k_max): every
     Horner intermediate is then an integer float64 holds, and IEEE division
     rounds correctly.  Otherwise, and for the rest of a numpy chunk from its
-    first zero term on, terms come from ``_lazy_floats``.  Every source
-    raises at a zero term's own index once the consumer reaches it
-    (``_zero_term``).  A spec with D >= 2**1074, whose nonzero terms can
-    round to 0.0, takes the checked exact stream instead.
+    first zero term on, terms come from ``_lazy_floats``.  A zero
+    denominator is the term 0.0; every source raises ``_EndOfFraction`` at a
+    zero numerator's own index once the consumer reaches it.  A spec with
+    D >= 2**1074, whose nonzero terms can round to 0.0, takes the checked
+    exact stream instead.
     """
     if spec.b.den >> 1074 or spec.a.den >> 1074:
         # N(k)/D with N(k) != 0 can round to 0.0 only when D >= 2**1074:
@@ -338,11 +322,9 @@ class ContinuedFraction:
     spec: Optional[TermSpec] = None
 
     def terms(self) -> Iterator[PartialTerm]:
-        """Iterate partial terms, rejecting zero partial denominators."""
-        for index, t in enumerate(self.factory(), start=1):
-            if t.denominator == 0:
-                raise ZeroDenominatorError(index)
-            yield t
+        """Iterate partial terms.  A zero partial denominator is a legal
+        term; only a zero continuant q_k leaves a convergent undefined."""
+        return self.factory()
 
     def take(self, k: int) -> list[PartialTerm]:
         return list(itertools.islice(self.terms(), k))
@@ -453,6 +435,10 @@ def even_contraction(cf: ContinuedFraction) -> ContinuedFraction:
     one.  A finite fraction of odd length gets one closing term (-b r, a + b s)
     from its last term (b, a), so the contracted value matches the original
     final convergent; for a one-term fraction that term is (b_1, a_1).
+
+    A contracted term may have a zero denominator, like any term.  The step
+    divides by a_{2k} alone, so a zero a_{2k} raises ``ContractionError`` at
+    depth k.
     """
 
     def factory() -> Iterator[PartialTerm]:
@@ -465,10 +451,9 @@ def even_contraction(cf: ContinuedFraction) -> ContinuedFraction:
                 yield PartialTerm(-b_odd * r, a_odd + b_odd * s)
                 return
             b_even, a_even = t_even
-            den = a_even * a_odd + a_even * b_odd * s + b_even
-            if den == 0:
+            if a_even == 0:
                 raise ContractionError(depth)
-            yield PartialTerm(-a_even * b_odd * r, den)
+            yield PartialTerm(-a_even * b_odd * r, a_even * a_odd + a_even * b_odd * s + b_even)
             r, s = Fraction(b_even, a_even), Fraction(1, a_even)
 
     return ContinuedFraction(cf.leading, factory)
@@ -563,15 +548,16 @@ def eval_float(cf: ContinuedFraction, tol: float, max_terms: int) -> EvalReport:
       divergent.
 
     A zero partial numerator terminates the fraction exactly; exhausting the
-    term stream reports the final convergent.  Undefined convergents
-    (q_k = 0) are skipped and the recurrence continues.
+    term stream reports the final convergent.  A zero partial denominator is
+    a legal term, which is not positive.  Undefined convergents (q_k = 0) are
+    skipped and the recurrence continues.
 
     Float terms arrive in chunks: from ``_spec_chunks`` for a fraction with
     a ``TermSpec``, else from the exact stream one term at a time.  Both give
-    ``float()`` of every exact term.  A term that is zero, overflows or
-    underflows raises at its own index once the loop reaches it: a zero
-    denominator raises ``ZeroDenominatorError``, and a zero numerator raises
-    a private exception that this loop catches to report the fraction finite.
+    ``float()`` of every exact term.  A term that overflows or underflows
+    raises at its own index once the loop reaches it, and a zero numerator
+    raises a private exception that this loop catches to report the fraction
+    finite.
     """
     check_tolerance(tol)
     if max_terms < 1:

@@ -312,6 +312,15 @@ def test_verify_reports_underflowing_term_as_undefined():
     assert "index 1" in rep.detail and rep.eval_status is None
 
 
+def test_verify_passes_a_point_with_a_zero_partial_denominator():
+    # a_1 = a p - b q = 0, so q_1 = 0; the later convergents are defined
+    params = {"a": F(3, 2), "b": F(9, 4), "c": F(2), "r": F(1, 2), "p": F(3, 2), "q": F(1)}
+    assert make_cf("F8", params).take(1)[0].denominator == 0
+    rep = verify(IdentityCase("F8", params))
+    assert rep.status is VerifyStatus.PASS and rep.eval_status is EvalStatus.CONVERGED
+    assert rep.terms_used == 36 and rep.abs_error < 1e-4
+
+
 def test_make_cf_rejects_unknown_family():
     with pytest.raises(UnknownFamilyError):
         make_cf("F99", {})

@@ -466,20 +466,37 @@ def test_riccati_zero_depth_and_nan_tolerance_are_usage_errors(capsys):
 
 # ------------------------------------------------------------ parameter points
 
+# every partial denominator (a + (k-1) r) p - (b + (k-1) r) q is 0
 F8_ZERO_DENOMINATOR = ("--family", "F8", "--param", "a=2", "--param", "b=2", "--param", "c=2",
                        "--param", "r=1", "--param", "p=1", "--param", "q=1")
 
 
+@pytest.mark.parametrize("argv, code, warning", [
+    (("eval", *F8_ZERO_DENOMINATOR), EX_OK, ""),
+    (("convert", "cf-to-series", *F8_ZERO_DENOMINATOR, "--depth", "3"), EX_BUDGET,
+     "warning: denominator continuant q_1 is zero\n"),
+], ids=["eval-zero-denominator", "c2s-zero-denominator"])
+def test_zero_denominator_point_ends_in_a_documented_code(capsys, argv, code, warning):
+    assert run(capsys, *argv)[::2] == (code, warning)
+
+
+def test_eval_passes_a_zero_partial_denominator(capsys):
+    # a_1 = a p - b q = 0; the exact convergents settle on 0.848214285714286
+    code, out, _ = run(capsys, "eval", "--family", "F8", "--param", "a=3/2", "--param", "b=9/4",
+                       "--param", "c=2", "--param", "r=1/2", "--param", "p=3/2",
+                       "--param", "q=1", "--tol", "1e-4", "--json")
+    payload = json.loads(out)
+    assert code == EX_OK and payload["status"] == "converged"
+    assert abs(payload["value"] - payload["reference"]) < 1e-4
+
+
 @pytest.mark.parametrize("argv", [
-    ("eval", *F8_ZERO_DENOMINATOR),                                  # zero partial denominator
-    ("convert", "cf-to-series", *F8_ZERO_DENOMINATOR, "--depth", "3"),
     ("eval", "--family", "F3", "--param", "s=1e400"),               # OverflowError
     ("eval", "--family", "F5", "--param", "f=1e300", "--param", "h=1e300",
      "--param", "r=1"),                                             # ZeroDivisionError
     ("riccati", "--a", "1e400", "--b", "0", "--c", "1", "--m", "0"),  # OverflowError
     ("riccati", "--a", "100", "--b", "0", "--c", "1", "--m", "0"),    # ODE pole
-], ids=["eval-zero-denominator", "c2s-zero-denominator", "eval-overflow",
-        "eval-reference-zero-division", "riccati-overflow", "riccati-pole"])
+], ids=["eval-overflow", "eval-reference-zero-division", "riccati-overflow", "riccati-pole"])
 def test_point_that_cannot_be_evaluated_exits_64(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == EX_USAGE

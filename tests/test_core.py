@@ -15,7 +15,7 @@ from contfrac.core import (
     EvalStatus,
     PositivityClass,
     ZeroContinuantError,
-    ZeroDenominatorError,
+    convergent_iter,
     convergent_sequence,
     equivalence_transform,
     euler_series_expansion,
@@ -83,10 +83,14 @@ def test_undefined_convergent_is_marked_and_recurrence_continues():
     assert seq[0].defined and seq[2].defined
 
 
-def test_zero_partial_denominator_rejected():
-    cf = ContinuedFraction.from_pairs(0, [(1, 0)])
-    with pytest.raises(ZeroDenominatorError):
-        cf.take(1)
+def test_zero_partial_denominator_is_a_legal_term():
+    # 0 + 1/(0 + 1/1): q_1 = 0 leaves v_1 undefined, and v_2 = 1
+    cf = ContinuedFraction.from_pairs(0, [(1, 0), (1, 1)])
+    assert cf.take(2) == [(1, 0), (1, 1)]
+    seq = convergent_sequence(cf, 2)
+    assert not seq[0].defined and seq[1].value == 1
+    rep = eval_float(cf, 1e-9, 100)
+    assert (rep.value, rep.terms_used, rep.status) == (1.0, 2, EvalStatus.TERMINATED_FINITE)
 
 
 def test_term_stream_is_deterministic():
@@ -224,8 +228,8 @@ def test_series_expansion_stops_at_zero_continuant():
 
 
 def test_series_expansion_reads_only_k_terms():
-    # term 2 has a zero denominator; one series term needs term 1 only
-    cf = ContinuedFraction.from_pairs(0, [(1, 1), (1, 0)])
+    # term 2 cannot be made; one series term needs term 1 only
+    cf = ContinuedFraction.from_rule(0, lambda k: (1, 1) if k == 1 else (1, F(1, 0)))
     assert euler_series_expansion(cf, 1) == [F(1)]
 
 
@@ -278,19 +282,66 @@ def test_even_contraction_of_empty_and_one_term_fractions():
 
 
 def test_even_contraction_undefined_at_depth_1():
-    # a_1 a_2 + b_2 = 1 - 1 = 0
+    # a_2 = 0
     with pytest.raises(ContractionError) as exc_info:
-        even_contraction(ContinuedFraction.from_pairs(0, [(1, 1), (-1, 1), (1, 1)])).take(3)
+        even_contraction(ContinuedFraction.from_pairs(0, [(1, 1), (1, 0), (1, 1)])).take(3)
     assert exc_info.value.depth == 1
 
 
 def test_even_contraction_undefined_at_a_later_depth_keeps_earlier_terms():
-    # depth 2: a_4 a_3 + a_4 b_3 / a_2 + b_4 = 1 + 1 - 2 = 0
-    it = even_contraction(ContinuedFraction.from_pairs(0, [(1, 1)] * 3 + [(-2, 1)])).terms()
+    # a_4 = 0 at depth 2
+    it = even_contraction(ContinuedFraction.from_pairs(0, [(1, 1)] * 3 + [(-2, 0)])).terms()
     assert next(it) == (1, 2)
     with pytest.raises(ContractionError) as exc_info:
         next(it)
     assert exc_info.value.depth == 2
+
+
+def _values(cf, k):
+    return [c.value if c.defined else None for c in convergent_sequence(cf, k)]
+
+
+def _closing_values(cf, n):
+    """v_{min(2k, n)} for k = 1, 2, ...: what the contraction of an n-term
+    fraction must reproduce."""
+    values = _values(cf, n)
+    return [values[min(2 * k, n) - 1] for k in range(1, (n + 1) // 2 + 1)]
+
+
+@pytest.mark.parametrize("pairs", [
+    [(1, 1), (-1, 1), (1, 1)],             # a_1 a_2 + b_2 = 0
+    [(1, 1)] * 3 + [(-2, 1)],              # a_4 a_3 + a_4 b_3 / a_2 + b_4 = 0
+    # the odd-tail close is (-2, 0); v_2, v_4, v_5 = 16/15, 71/66, 16/15
+    [(-1, -2), (-1, 2), (F(1, 3), F(-2, 3)), (1, F(1, 2)), (1, -2)],
+])
+def test_even_contraction_keeps_a_zero_contracted_denominator(pairs):
+    cf = ContinuedFraction.from_pairs(F(2, 3), pairs)
+    contracted = even_contraction(cf)
+    assert 0 in [t.denominator for t in contracted.terms()]
+    assert _values(contracted, 10) == _closing_values(cf, len(pairs))
+
+
+small_rationals = st.builds(F, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_rationals, st.lists(st.tuples(small_rationals, small_rationals), max_size=10))
+def test_even_contraction_matches_closing_convergents_projectively(leading, pairs):
+    cf = ContinuedFraction.from_pairs(leading, pairs)
+    n, got = len(pairs), []
+    try:
+        got.extend(convergent_iter(even_contraction(cf)))
+    except ContractionError as exc:
+        # the one step that divides: a_{2k} = 0 at depth k, the first such
+        assert pairs[2 * exc.depth - 1][1] == 0
+        assert all(a != 0 for _, a in pairs[1:2 * exc.depth - 1:2])
+        assert len(got) == exc.depth - 1
+    else:
+        assert len(got) == (n + 1) // 2
+    original = convergent_sequence(cf, n) if n else []
+    for k, c in enumerate(got, 1):
+        want = original[min(2 * k, n) - 1]
+        assert c.p * want.q == want.p * c.q and (c.q == 0) == (want.q == 0)
 
 
 def _golden_exact(text):
@@ -305,8 +356,6 @@ def _contracted_or_error(cf):
             terms.append(t)
     except ContractionError as exc:
         return terms, ["ContractionError", exc.depth]
-    except ZeroDenominatorError as exc:
-        return terms, ["ZeroDenominatorError", exc.index]
     return terms, None
 
 

@@ -2,11 +2,12 @@
 
 import itertools
 import json
+import math
 import pathlib
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contfrac import catalog
@@ -14,15 +15,14 @@ from contfrac.core import (
     K,
     ContinuedFraction,
     ContinuedFractionError,
-    EvalReport,
     EvalStatus,
     Poly,
     TermSpec,
     TermUnderflowError,
-    ZeroDenominatorError,
     _EndOfFraction,
     _checked_floats,
     _spec_chunks,
+    convergent_sequence,
     eval_float,
 )
 from test_catalog import _family_samplers
@@ -39,13 +39,6 @@ GOLDEN_EVAL = json.loads((DATA / "golden_eval.json").read_text())["cases"]
 def generic(cf):
     """The same fraction without its spec: eval_float reads the exact stream."""
     return ContinuedFraction(cf.leading, cf.factory)
-
-
-def outcome(cf, tol, n):
-    try:
-        return eval_float(cf, tol, n)
-    except ZeroDenominatorError as exc:
-        return ("zero denominator", exc.index)
 
 
 def exact(pairs):
@@ -122,12 +115,35 @@ def test_eval_reports_match_golden_file(entry):
         assert report_repr(generic(cf), tol, n) == want
 
 
+def test_golden_reports_past_a_zero_denominator_match_exact_convergents():
+    # an unbracketed report is the last defined convergent at or before
+    # terms_used; these reports were recorded when a zero partial
+    # denominator still raised
+    checked = 0
+    for entry in GOLDEN_EVAL:
+        cf = golden_cf(entry)
+        reports = [r for r in entry["reports"] if len(r) == 5 and r[1] == "None"]
+        n = max((r[3] for r in reports), default=0)
+        zero = next((k for k, t in enumerate(cf.take(n), 1) if t.denominator == 0), None)
+        if zero is None:
+            continue
+        convergents = convergent_sequence(cf, n)
+        for value, _, _, used, _ in reports:
+            if used < zero:
+                continue
+            last = next((c.value for c in reversed(convergents[:used]) if c.defined),
+                        cf.leading)
+            assert math.isclose(float(value), float(last), rel_tol=1e-12), (entry, used)
+            checked += 1
+    assert checked == 46
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(_family_samplers())), st.randoms(use_true_random=False),
        st.sampled_from([1e-3, 1e-6, 1e-9, 1e-13]), st.integers(1, 1500))
 def test_spec_and_generic_sources_give_equal_reports(family, rng, tol, n):
     cf = catalog.make_cf(family, _family_samplers()[family](rng))
-    assert outcome(cf, tol, n) == outcome(generic(cf), tol, n)
+    assert eval_float(cf, tol, n) == eval_float(generic(cf), tol, n)
 
 
 @pytest.mark.parametrize("fid", [f for f in catalog.family_ids()
@@ -148,11 +164,11 @@ F8_BASE = {"c": F(2), "r": F(1)}
     ({"a": F(1), "b": F(4), "p": F(2), "q": F(1), "c": F(7, 2)}, 3),  # polynomial part, j = 2
 ])
 def test_zero_denominator_index_matches_generic_path(params, index):
+    # a zero denominator is a legal term: both sources pass it
     cf = catalog.make_cf("F8", {**F8_BASE, **params})
-    for source in (cf, generic(cf)):
-        with pytest.raises(ZeroDenominatorError) as exc_info:
-            eval_float(source, 1e-9, 100)
-        assert exc_info.value.index == index
+    assert cf.take(index)[-1].denominator == 0
+    rep = eval_float(cf, 1e-9, 100)
+    assert rep.terms_used > index and rep == eval_float(generic(cf), 1e-9, 100)
 
 
 @pytest.mark.parametrize("family, params, k", [
@@ -238,24 +254,62 @@ def test_chunked_floats_equal_the_exact_stream_term_for_term(spec, n):
     ((), 3, 3),            # polynomial term made one at a time
     ((), 200, 200),        # polynomial term inside a numpy chunk
 ])
-def test_a_term_with_both_parts_zero_raises_zero_denominator(head, root, index):
+def test_a_term_with_both_parts_zero_ends_the_fraction(head, root, index):
     spec = TermSpec(0, head, (K - root) ** 2, (K - root) ** 2)
-    want = ("ZeroDenominatorError", index)
-    assert flat(_spec_chunks(spec, 300))[-1] == want
-    assert flat([_checked_floats(itertools.islice(spec.exact_terms(), 300))])[-1] == want
+    chunked = flat(_spec_chunks(spec, 300))
+    assert chunked == flat([_checked_floats(itertools.islice(spec.exact_terms(), 300))])
+    assert chunked[-1] == "zero numerator" and len(chunked) == index
 
 
 @pytest.mark.parametrize("j", [17, 129, 200, 500, 512, 1000])
-def test_a_zero_denominator_raises_only_when_the_loop_reaches_it(j):
+def test_a_zero_denominator_inside_a_chunk_gives_equal_reports(j):
     # a_j = 0 in a slowly converging fraction: by the tolerance the
-    # evaluation stops before j or reaches it.  For j = 500 and 512 it can
-    # stop at k = 267-294, inside the chunk of indices 257-512 that was made
-    # at once and holds j.  The generic source converts one term at a time.
+    # evaluation stops before j or passes it.  For j = 500 and 512 it can
+    # stop at k = 267-294, inside the chunk of indices 257-512 whose numpy
+    # part ends before a_j.  The generic source converts one term at a time.
     cf = ContinuedFraction.from_spec(TermSpec(0, (), (2 * K - 1) ** 2,
                                               (K - j) * (K - j) * F(2, j * j)))
-    outcomes = [outcome(cf, tol, 5000) for tol in (1e-2, 9e-3, 8e-3, 7.5e-3, 7e-3, 3e-3)]
-    assert outcomes == [outcome(generic(cf), tol, 5000)
-                        for tol in (1e-2, 9e-3, 8e-3, 7.5e-3, 7e-3, 3e-3)]
+    tols = (1e-2, 9e-3, 8e-3, 7.5e-3, 7e-3, 3e-3)
+    reports = [eval_float(cf, tol, 5000) for tol in tols]
+    assert reports == [eval_float(generic(cf), tol, 5000) for tol in tols]
     if j in (500, 512):
-        assert ("zero denominator", j) in outcomes
-        assert any(isinstance(o, EvalReport) and 256 < o.terms_used < j for o in outcomes)
+        assert any(256 < r.terms_used < j for r in reports)
+        assert any(r.terms_used > j for r in reports)
+
+
+@st.composite
+def integer_fractions_with_a_zero_denominator(draw):
+    """(leading, pairs, budget) with at least one zero a_k."""
+    pairs = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                          min_size=1, max_size=12))
+    i = draw(st.integers(0, len(pairs) - 1))
+    pairs[i] = (pairs[i][0], 0)
+    return draw(st.integers(-3, 3)), pairs, draw(st.integers(1, len(pairs)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_fractions_with_a_zero_denominator(), st.sampled_from([1e-1, 1e-3, 1e-300]))
+@example((0, [(1, 1), (1, 1), (0, 0)], 3), 1e-300)    # a zero term ends a positive fraction
+@example((0, [(1, 1), (1, 1), (-2, 1)], 3), 1e-300)   # q_3 = 0 where positivity is lost
+def test_zero_denominators_evaluate_through_the_continuants(fraction, tol):
+    # continuants of at most 12 terms |x| <= 3 are integers below 2**53, so
+    # every float convergent is float() of the exact one
+    leading, pairs, n = fraction
+    cf = ContinuedFraction.from_pairs(leading, pairs)
+    rep = eval_float(cf, tol, n)
+    spec = TermSpec(leading, tuple(pairs), 1, 1)
+    assert eval_float(ContinuedFraction.from_spec(spec), tol, n) == rep
+    defined = [(c.index, float(c.value))
+               for c in convergent_sequence(cf, rep.terms_used) if c.defined]
+    if rep.lower is not None:
+        assert [rep.lower, rep.upper] == sorted(v for _, v in defined[-2:])
+        return
+    # unbracketed: the last defined convergent from the first term that is
+    # not positive on, else the estimate made before that term; a zero
+    # numerator ends the fraction and is not a term
+    first = next((k for k, (b, a) in enumerate(pairs[:rep.terms_used], 1)
+                  if b and (b < 0 or a <= 0)), 1)
+    after = [v for k, v in defined if k >= first]
+    before = [float(leading)] + [v for k, v in defined if k < first]
+    want = after[-1] if after else 0.5 * sum(before[-2:]) if len(before) > 2 else before[-1]
+    assert rep.value == want
