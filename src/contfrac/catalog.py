@@ -594,12 +594,7 @@ def permutation_theorem_check(a: float, b: float, c: float, r: float,
     if c <= 0 or a - c <= 0:
         raise ValueError("c-side integrability violated")
     ratio_g = _f8_moment_ratio(a, b, c, r, p, q)
-
-    def moment_c(t: float) -> float:
-        return PowerBinomialIntegrand(alpha=t, r=r, beta=(a - c - r) / r,
-                                      gamma_exp=(b - c - r) / r, p=p, q=q).integral()
-
-    ratio_c = moment_c(c + r) / moment_c(c)
+    ratio_c = _f8_moment_ratio(a, b, g, r, p, q)  # c and g swapped: I(c+r)/I(c)
     return abs(c * ratio_g - g * ratio_c)
 
 

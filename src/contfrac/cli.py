@@ -20,6 +20,7 @@ import contextlib
 import itertools
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -63,6 +64,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token that starts with "-" and a digit, such as -1/3 or -1,1/2, is
+        # a value, and so is -.5; argparse itself takes only -N, -N.M and -.M
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # argparse default exits 2; the contract says 64
         raise _UsageError(message)
 

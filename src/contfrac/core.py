@@ -239,27 +239,27 @@ def _lazy_floats(spec: TermSpec, k0: int, k1: int):
         yield n / db, m / da
 
 
-def _numpy_floats(poly: Poly, k0: int, k1: int) -> Optional[list]:
-    """N(k)/D as floats for k0 <= k < k1, stopping before the first k with
-    N(k) = 0, or None unless that is exact in float64: D <= 2**53 and
-    sum |c_i| (k1-1)**i <= 2**53 keep every Horner intermediate an integer
-    float64 holds exactly, and IEEE division rounds correctly."""
+def _numpy_floats(poly: Poly, k0: int, k1: int) -> Optional[Tuple[list, int]]:
+    """(N(k)/D as floats for k0 <= k < k1, the first of these k with
+    N(k) = 0 or else k1), or None unless that is exact in float64:
+    D <= 2**53 and sum |c_i| (k1-1)**i <= 2**53 keep every Horner
+    intermediate an integer float64 holds exactly, and IEEE division rounds
+    correctly."""
     ints, den = poly.ints, poly.den
     if den > _F64_EXACT or sum(abs(c) * (k1 - 1) ** i
                                for i, c in enumerate(reversed(ints))) > _F64_EXACT:
         return None
     if len(ints) == 1:
-        return [ints[0] / den] * (k1 - k0) if ints[0] else []
+        return [ints[0] / den] * (k1 - k0), (k1 if ints[0] else k0)
     ks = np.arange(k0, k1, dtype=np.float64)
     n = ks * ints[0]
     for c in ints[1:-1]:
         n += c
         n *= ks
     n += ints[-1]
-    if not n.all():
-        n = n[:np.flatnonzero(n == 0.0)[0]]
+    zero = k1 if n.all() else k0 + int(np.flatnonzero(n == 0.0)[0])
     n /= den
-    return n.tolist()
+    return n.tolist(), zero
 
 
 def _spec_chunks(spec: TermSpec, max_terms: int):
@@ -277,12 +277,12 @@ def _spec_chunks(spec: TermSpec, max_terms: int):
     and ``_numpy_floats`` makes it at once in float64 when D <= 2**53 and
     sum |c_i| k_max**i <= 2**53 (coefficients c_i, last index k_max): every
     Horner intermediate is then an integer float64 holds, and IEEE division
-    rounds correctly.  Otherwise, and for the rest of a numpy chunk from its
-    first zero term on, terms come from ``_lazy_floats``.  A zero
-    denominator is the term 0.0; every source raises ``_EndOfFraction`` at a
-    zero numerator's own index once the consumer reaches it.  A spec with
-    D >= 2**1074, whose nonzero terms can round to 0.0, takes the checked
-    exact stream instead.
+    rounds correctly.  Otherwise terms come from ``_lazy_floats``.  A numpy
+    chunk ends before the first zero numerator, and the next request for a
+    chunk raises ``_EndOfFraction`` at its index, as every source does once
+    the consumer reaches a zero numerator; a zero denominator is the term
+    0.0.  A spec with D >= 2**1074, whose nonzero terms can round to 0.0,
+    takes the checked exact stream instead.
     """
     if spec.b.den >> 1074 or spec.a.den >> 1074:
         # N(k)/D with N(k) != 0 can round to 0.0 only when D >= 2**1074:
@@ -294,16 +294,17 @@ def _spec_chunks(spec: TermSpec, max_terms: int):
     k = len(spec.head) + 1
     while k <= max_terms:
         end = min(k + min(max(k - 1, _LAZY_TERMS), _CHUNK_MAX), max_terms + 1)
-        bs = as_ = None
+        b = a = None
         if k - len(spec.head) > _LAZY_TERMS:
-            bs, as_ = _numpy_floats(spec.b, k, end), _numpy_floats(spec.a, k, end)
-        if bs is None or as_ is None:
+            b = _numpy_floats(spec.b, k, end)
+            if b is not None:  # a only up to the first zero numerator, which ends the chunk
+                a = _numpy_floats(spec.a, k, b[1])
+        if a is None:
             yield _lazy_floats(spec, k, end)
         else:
-            n = min(len(bs), len(as_))
-            yield zip(bs, as_)
-            if k + n < end:
-                yield _lazy_floats(spec, k + n, end)
+            yield zip(b[0], a[0])
+            if b[1] < end:
+                raise _EndOfFraction(b[1])
         k = end
 
 
@@ -549,8 +550,10 @@ def eval_float(cf: ContinuedFraction, tol: float, max_terms: int) -> EvalReport:
 
     A zero partial numerator terminates the fraction exactly; exhausting the
     term stream reports the final convergent.  A zero partial denominator is
-    a legal term, which is not positive.  Undefined convergents (q_k = 0) are
-    skipped and the recurrence continues.
+    a legal term, which is not positive.  The recurrence continues through an
+    undefined convergent (q_k = 0); on the signed path it counts as infinite,
+    so the differences on both sides of it are neither small nor contracting,
+    and the value reported is the last defined convergent.
 
     Float terms arrive in chunks: from ``_spec_chunks`` for a fraction with
     a ``TermSpec``, else from the exact stream one term at a time.  Both give
@@ -614,39 +617,45 @@ def eval_float(cf: ContinuedFraction, tol: float, max_terms: int) -> EvalReport:
                         p_prev *= big
                         q_prev *= big
                 if q == 0.0:
-                    continue  # undefined convergent, skip
-                v = p / q
-                if positive:
-                    # |v - v_prev| <= tol, which is the bracket width
-                    if v_prev is not None and ntol <= v - v_prev <= tol:
-                        return EvalReport(*_estimate(lead, v_prev, v), k, EvalStatus.CONVERGED)
-                    v_pp = v_prev
+                    if positive:
+                        continue  # undefined convergent, skip
+                    # on the signed path an undefined convergent is infinite
+                    # (Jones & Thron 1980, ch. 2), and so are the differences
+                    # on both sides of it; value keeps the last defined one
+                    v = math.inf
                 else:
+                    v = p / q
+                    if positive:
+                        # |v - v_prev| <= tol, which is the bracket width
+                        if v_prev is not None and ntol <= v - v_prev <= tol:
+                            return EvalReport(*_estimate(lead, v_prev, v), k, EvalStatus.CONVERGED)
+                        v_pp, v_prev = v_prev, v
+                        continue
                     value = v
-                    if v_prev is not None:
-                        d = abs(v - v_prev)
-                        if d <= tol:
-                            small_streak += 1
-                            d_last, rising = None, 0
-                            if small_streak >= 2:
-                                return EvalReport(v, None, None, k, EvalStatus.CONVERGED)
+                if v_prev is not None:
+                    d = abs(v - v_prev)
+                    if d <= tol:
+                        small_streak += 1
+                        d_last, rising = None, 0
+                        if small_streak >= 2:
+                            return EvalReport(v, None, None, k, EvalStatus.CONVERGED)
+                    else:
+                        small_streak = 0
+                        if d_last is not None and d >= d_last * (1.0 - 1e-12):
+                            rising += 1
                         else:
-                            small_streak = 0
-                            if d_last is not None and d >= d_last * (1.0 - 1e-12):
-                                rising += 1
-                            else:
-                                rising = 0
-                            d_last = d
-                            if rising >= _DIVERGENCE_WINDOW - 1 and k >= 2 * _DIVERGENCE_WINDOW:
-                                return EvalReport(v, None, None, k, EvalStatus.DIVERGENT)
+                            rising = 0
+                        d_last = d
+                        if rising >= _DIVERGENCE_WINDOW - 1 and k >= 2 * _DIVERGENCE_WINDOW:
+                            return EvalReport(value, None, None, k, EvalStatus.DIVERGENT)
                 v_prev = v
     except _EndOfFraction:  # term k + 1 has a zero numerator
-        return EvalReport(lead if v_prev is None else v_prev, None, None, k + 1,
-                          EvalStatus.TERMINATED_FINITE)
-
-    if k < max_terms:
-        return EvalReport(lead if v_prev is None else v_prev, None, None, k,
-                          EvalStatus.TERMINATED_FINITE)
-    if positive:
-        return EvalReport(*_estimate(lead, v_pp, v_prev), k, EvalStatus.BUDGET_EXHAUSTED)
-    return EvalReport(value, None, None, k, EvalStatus.BUDGET_EXHAUSTED)
+        k += 1
+    else:
+        if k == max_terms:
+            if positive:
+                return EvalReport(*_estimate(lead, v_pp, v_prev), k, EvalStatus.BUDGET_EXHAUSTED)
+            return EvalReport(value, None, None, k, EvalStatus.BUDGET_EXHAUSTED)
+    if positive:  # a finite fraction is its last convergent
+        value = lead if v_prev is None else v_prev
+    return EvalReport(value, None, None, k, EvalStatus.TERMINATED_FINITE)

@@ -26,12 +26,14 @@ Runge-Kutta pair, giving an independent value to compare against the fraction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
-from .core import ContinuedFraction, EvalStatus, as_fraction, check_tolerance, eval_float
+from .core import (ContinuedFraction, EvalStatus, PartialTerm, as_fraction, check_tolerance,
+                   eval_float)
 
 
 class RiccatiDomainError(ValueError):
@@ -50,10 +52,8 @@ class RiccatiProblem:
     m: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", as_fraction(self.a))
-        object.__setattr__(self, "b", as_fraction(self.b))
-        object.__setattr__(self, "c", as_fraction(self.c))
-        object.__setattr__(self, "m", as_fraction(self.m))
+        for name in "abcm":
+            object.__setattr__(self, name, as_fraction(getattr(self, name)))
         if self.c == 0:
             raise ValueError("c must be nonzero")
         if not self.m + 2 > 0:
@@ -61,39 +61,43 @@ class RiccatiProblem:
                 "m + 2 <= 0 puts the boundary condition at infinity; unsupported")
 
 
-def _partial_numerator(problem: RiccatiProblem, k: int) -> Fraction:
-    ac = problem.a * problem.c
-    step = problem.m + 2
-    if k % 2 == 1:  # k = 2j + 1
-        j = (k - 1) // 2
-        return ac + (j * step + 1) * problem.b
-    j = k // 2      # k = 2j
-    return ac - j * step * problem.b
-
-
-def _partial_denominator(problem: RiccatiProblem, k: int) -> Fraction:
-    mag = k * problem.m + 2 * k + 1
-    return -mag if k % 2 == 1 else mag
+def _terms(problem: RiccatiProblem) -> Iterator[PartialTerm]:
+    """The terms of the module docstring's fraction up to the first zero
+    numerator: three progressions, each advanced by one exact addition."""
+    ac, step = problem.a * problem.c, problem.m + 2
+    stride = step * problem.b
+    odd, even, mag = ac + problem.b, ac - stride, step + 1
+    while odd:
+        yield PartialTerm(odd, -mag)
+        mag += step
+        if not even:
+            return
+        yield PartialTerm(even, mag)
+        mag += step
+        odd += stride
+        even -= stride
 
 
 def cf_from_riccati(problem: RiccatiProblem) -> ContinuedFraction:
     """Continued fraction for c y(1); terminates where a numerator vanishes."""
-
-    def rule(k):
-        num = _partial_numerator(problem, k)
-        if num == 0:
-            return None
-        return (num, _partial_denominator(problem, k))
-
-    return ContinuedFraction.from_rule(1, rule)
+    return ContinuedFraction(Fraction(1), lambda: _terms(problem))
 
 
-def termination_depth(problem: RiccatiProblem, search: int = 512) -> Optional[int]:
-    """Depth at which the fraction terminates (first zero numerator), if any."""
-    for k in range(1, search + 1):
-        if _partial_numerator(problem, k) == 0:
-            return k - 1
-    return None
+def termination_depth(problem: RiccatiProblem) -> Optional[int]:
+    """Depth at which the fraction terminates (first zero numerator), if any.
+
+    With b = 0 every numerator is ac.  Else numerator 2j+1 vanishes when
+    j = (-ac/b - 1)/(m+2) is an integer >= 0 and numerator 2j when
+    j = ac/((m+2) b) is an integer >= 1; never both, which needs j + j' < 0.
+    """
+    ac, b, step = problem.a * problem.c, problem.b, problem.m + 2
+    if not b:
+        return None if ac else 0
+    j = (-ac / b - 1) / step
+    if j.denominator == 1 and j >= 0:
+        return 2 * j.numerator
+    j = ac / (step * b)
+    return 2 * j.numerator - 1 if j.denominator == 1 and j >= 1 else None
 
 
 def riccati_letters(problem: RiccatiProblem, count: int) -> list[Fraction]:
@@ -110,14 +114,10 @@ def riccati_letters(problem: RiccatiProblem, count: int) -> list[Fraction]:
     """
     if count < 1:
         raise ValueError("count must be positive")
-    letters = [Fraction(1) / problem.c]
-    for j in range(1, count):
-        num = _partial_numerator(problem, j)
-        if num == 0:
-            break
-        d_prev = abs(_partial_denominator(problem, j - 1))
-        d_cur = abs(_partial_denominator(problem, j))
-        letters.append(d_prev * d_cur / (num * letters[-1]))
+    letters, d_prev = [Fraction(1) / problem.c], 1
+    for num, den in itertools.islice(_terms(problem), count - 1):
+        letters.append(d_prev * abs(den) / (num * letters[-1]))
+        d_prev = abs(den)
     return letters
 
 

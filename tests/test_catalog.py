@@ -321,6 +321,16 @@ def test_verify_passes_a_point_with_a_zero_partial_denominator():
     assert rep.terms_used == 36 and rep.abs_error < 1e-4
 
 
+def test_verify_flags_convergents_undefined_at_every_other_index_as_divergent():
+    # every a_k is 0: q_k = 0 at odd k and v_k = 0 at even k, so the
+    # approximants alternate between infinity and 0 and have no limit
+    params = {n: F(2) for n in "abc"} | {n: F(1) for n in "rpq"}
+    assert {t.denominator for t in make_cf("F8", params).take(8)} == {0}
+    rep = verify(IdentityCase("F8", params))
+    assert rep.status is VerifyStatus.DIVERGENT and rep.eval_status is EvalStatus.DIVERGENT
+    assert rep.terms_used == 24 and rep.value == 0.0
+
+
 def test_make_cf_rejects_unknown_family():
     with pytest.raises(UnknownFamilyError):
         make_cf("F99", {})

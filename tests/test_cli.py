@@ -472,7 +472,7 @@ F8_ZERO_DENOMINATOR = ("--family", "F8", "--param", "a=2", "--param", "b=2", "--
 
 
 @pytest.mark.parametrize("argv, code, warning", [
-    (("eval", *F8_ZERO_DENOMINATOR), EX_OK, ""),
+    (("eval", *F8_ZERO_DENOMINATOR), EX_DIVERGENT, ""),
     (("convert", "cf-to-series", *F8_ZERO_DENOMINATOR, "--depth", "3"), EX_BUDGET,
      "warning: denominator continuant q_1 is zero\n"),
 ], ids=["eval-zero-denominator", "c2s-zero-denominator"])
@@ -524,6 +524,21 @@ def test_repeated_param_is_a_usage_error(capsys, command):
                          "--param", " s=2")
     assert code == EX_USAGE and out == ""
     assert "--param s given more than once" in err
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (("riccati", "--a", "1", "--b", "-1/3", "--c", "1", "--m", "0"), EX_OK,
+     "terminates at depth 2\n"),
+    (("convert", "series-to-cf", "--numerators", "-1,1/2", "--denominators", "1,2"), EX_OK,
+     "-1\t1\n1/2\t-5/2\n"),
+    (("riccati", "--a", "1", "--b", "-.5", "--c", "1", "--m", "0"), EX_OK, "verdict    pass\n"),
+    (("riccati", "--a", "1", "--b", "0", "--c", "1", "--m", "0", "--tol", "-1e-8"), EX_USAGE,
+     ""),
+], ids=["riccati", "series-to-cf", "no-leading-digit", "negative-tolerance"])
+def test_a_negative_rational_after_a_flag_is_its_value(capsys, argv, code, out):
+    got, stdout, err = run(capsys, *argv)
+    assert got == code and out in stdout
+    assert "expected one argument" not in err
 
 
 def test_usage_error_on_missing_subcommand(capsys):

@@ -14,6 +14,7 @@ from contfrac.core import (
     ContractionError,
     EvalStatus,
     PositivityClass,
+    TermSpec,
     ZeroContinuantError,
     convergent_iter,
     convergent_sequence,
@@ -91,6 +92,28 @@ def test_zero_partial_denominator_is_a_legal_term():
     assert not seq[0].defined and seq[1].value == 1
     rep = eval_float(cf, 1e-9, 100)
     assert (rep.value, rep.terms_used, rep.status) == (1.0, 2, EvalStatus.TERMINATED_FINITE)
+
+
+@pytest.mark.parametrize("source", ["pairs", "spec"])
+def test_convergents_undefined_at_every_other_index_are_flagged_divergent(source):
+    # 0 + 1/(0 + 1/(0 + ...)): q_k = 0 at odd k and v_k = 0 at even k, so the
+    # approximants alternate between infinity and 0
+    cf = (ContinuedFraction.from_pairs(0, [(1, 0)] * 100) if source == "pairs"
+          else ContinuedFraction.from_spec(TermSpec(0, (), 1, 0)))
+    rep = eval_float(cf, 1e-9, 100)
+    assert (rep.value, rep.terms_used, rep.status) == (0.0, 24, EvalStatus.DIVERGENT)
+
+
+def test_an_end_at_an_undefined_convergent_reports_what_a_budget_stop_does():
+    # q_3 = 0 where positivity is lost; term 4 ends the fraction.  Ending
+    # there and running out of budget there report the same value: the
+    # estimate 3/4 made before term 3 from v_1 = 1 and v_2 = 1/2
+    pairs = [(1, 1), (1, 1), (1, F(-1, 2))]
+    ended = eval_float(ContinuedFraction.from_pairs(0, pairs + [(0, 1)]), 1e-9, 10)
+    stopped = eval_float(ContinuedFraction.from_pairs(0, pairs), 1e-9, 3)
+    assert (ended.value, ended.terms_used, ended.status) == (
+        0.75, 4, EvalStatus.TERMINATED_FINITE)
+    assert (stopped.value, stopped.status) == (0.75, EvalStatus.BUDGET_EXHAUSTED)
 
 
 def test_term_stream_is_deterministic():

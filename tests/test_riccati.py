@@ -59,6 +59,58 @@ def test_generic_problem_does_not_terminate():
     assert termination_depth(RiccatiProblem(1, F(1, 3), 1, 0)) is None
 
 
+def formula_terms(problem, count):
+    """The first ``count`` terms by the module docstring's formula, zero
+    numerators included."""
+    ac, step = problem.a * problem.c, problem.m + 2
+    out = []
+    for k in range(1, count + 1):
+        j = k // 2
+        num = ac + (j * step + 1) * problem.b if k % 2 else ac - j * step * problem.b
+        out.append((num, (-1) ** k * (k * step + 1)))
+    return out
+
+
+def random_problem(rng):
+    """A random problem; two in three with ac != 0 end, at depth 0-119."""
+    a = F(rng.randint(-5, 5), rng.randint(1, 3))
+    c = F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+    m = F(rng.randint(-3, 12), 2)
+    ac, step = a * c, m + 2
+    kind, j = rng.randint(0, 2), rng.randint(1, 60)
+    if kind == 0 and ac:
+        b = -ac / ((j - 1) * step + 1)   # numerator 2j-1 vanishes
+    elif kind == 1 and ac:
+        b = ac / (j * step)              # numerator 2j vanishes
+    else:
+        b = F(rng.randint(-4, 4), rng.randint(1, 9))
+    return RiccatiProblem(a, b, c, m)
+
+
+def test_terms_and_termination_follow_the_docstring_formula(rng):
+    ended = 0
+    for _ in range(300):
+        prob = random_problem(rng)
+        want = formula_terms(prob, 130)
+        stop = next((i for i, (num, _) in enumerate(want) if num == 0), None)
+        got = cf_from_riccati(prob).take(130)
+        assert got == want[:stop]
+        assert all(type(x) is F for t in got for x in t)
+        assert termination_depth(prob) == stop
+        ended += stop is not None
+    assert ended > 100
+
+
+@pytest.mark.parametrize("a, b, depth", [
+    (1, F(1, 600), 599), (1, F(-1, 601), 600),   # far past any fixed search bound
+    (1, 0, None), (0, 0, 0), (0, F(1, 2), None),
+])
+def test_termination_depth_in_closed_form(a, b, depth):
+    prob = RiccatiProblem(a, b, 1, 0)
+    assert termination_depth(prob) == depth
+    assert len(cf_from_riccati(prob).take(700)) == (700 if depth is None else depth)
+
+
 def test_letters_match_explicit_closed_forms(rng):
     done = 0
     while done < 10:
@@ -67,7 +119,7 @@ def test_letters_match_explicit_closed_forms(rng):
         m = F(rng.randint(0, 6), 2)
         b = F(rng.randint(1, 4), 7)
         prob = RiccatiProblem(a, b, c, m)
-        if termination_depth(prob, 12) is not None:
+        if termination_depth(prob) is not None:
             continue  # a vanishing numerator would zero a closed-form factor
         done += 1
         ac = a * c
@@ -91,7 +143,7 @@ def test_letter_ladder_matches_main_fraction(rng):
     while done < 5:
         prob = RiccatiProblem(F(rng.randint(1, 4)), F(rng.randint(1, 3), 7),
                               F(rng.randint(1, 3)), F(rng.randint(0, 4), 2))
-        if termination_depth(prob, 12) is not None:
+        if termination_depth(prob) is not None:
             continue
         done += 1
         letters = riccati_letters(prob, 7)

@@ -261,6 +261,20 @@ def test_a_term_with_both_parts_zero_ends_the_fraction(head, root, index):
     assert chunked[-1] == "zero numerator" and len(chunked) == index
 
 
+def test_only_a_zero_numerator_cuts_a_numpy_chunk():
+    # a_4200 = 0 lies inside the chunk of indices 4097-8192, which stays one
+    # numpy chunk; b_3000 = 0 ends the chunk of indices 2049-4096 before it,
+    # and the next request for a chunk raises at index 3000
+    chunks = list(_spec_chunks(TermSpec(0, (), K * K, K - 4200), 8192))
+    assert [type(c).__name__ for c in chunks] == ["generator"] + ["zip"] * 6
+    assert [len(list(c)) for c in chunks] == [128, 128, 256, 512, 1024, 2048, 4096]
+    chunks = _spec_chunks(TermSpec(0, (), (K - 3000) * K, K - 2500), 8192)
+    assert [len(list(c)) for c in itertools.islice(chunks, 6)] == [128, 128, 256, 512, 1024, 951]
+    with pytest.raises(_EndOfFraction) as info:
+        next(chunks)
+    assert info.value.args == (3000,)
+
+
 @pytest.mark.parametrize("j", [17, 129, 200, 500, 512, 1000])
 def test_a_zero_denominator_inside_a_chunk_gives_equal_reports(j):
     # a_j = 0 in a slowly converging fraction: by the tolerance the
