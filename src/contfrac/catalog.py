@@ -37,7 +37,8 @@ are an ordered tuple of inequalities in Python syntax, such as
 parameters, and the first that fails is the predicate a
 ``ConstraintViolation`` names.  The spec and the reference function take the
 parameters by name, as exact ``Fraction``s; every reference quadrature asks
-for the one accuracy ``quadrature.TARGET``.
+for the one accuracy ``quadrature.TARGET``, and one that does not reach it
+raises ``QuadratureError``, which ``verify`` reports as ``undefined``.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .core import (
     K,
     ContinuedFraction,
     ContinuedFractionError,
+    EvalReport,
     EvalStatus,
     Rational,
     TermSpec,
@@ -64,6 +66,7 @@ from .quadrature import (
     TARGET,
     PowerBinomialIntegrand,
     QuadratureError,
+    _check_finite,
     de_integral,
     gaussian_tail_integral,
     reciprocal_kernel_integral,
@@ -249,10 +252,7 @@ def _f11_refs(a: Fraction, alpha: Fraction, b: Fraction, beta: Fraction) -> Tupl
         def f(x, cx):
             return np.exp(exp_coeff * x + u * np.log(x) + edge * np.log(cx))
 
-        res = de_integral(f, "unit")
-        if not res.converged:
-            raise QuadratureError("exponential-Beta moment did not converge")
-        return res.value
+        return de_integral(f, "unit").checked("exponential-Beta moment")
 
     return (al / be * weighted_moment(a / al) / weighted_moment(a / al - 1.0),)
 
@@ -512,33 +512,31 @@ def verify(case: IdentityCase) -> VerificationReport:
         return VerificationReport(case, VerifyStatus.UNDEFINED, references=refs,
                                   detail=f"evaluation failed: {exc}")
 
-    abs_error = abs(rep.value - refs[0])
+    status, detail = _verdict(case, rep, refs)
+    return VerificationReport(case, status, rep.value, rep.lower, rep.upper, rep.terms_used,
+                              refs, abs(rep.value - refs[0]), rep.status, detail)
+
+
+def _verdict(case: IdentityCase, rep: EvalReport,
+             refs: Tuple[float, ...]) -> Tuple[VerifyStatus, str]:
+    """Status and detail of an evaluated case: divergence first, then dual
+    disagreement, then the bracket when there is one, else the difference."""
     if rep.status is EvalStatus.DIVERGENT:
-        return VerificationReport(case, VerifyStatus.DIVERGENT, rep.value, rep.lower,
-                                  rep.upper, rep.terms_used, refs, abs_error,
-                                  rep.status, detail="oscillation without contraction")
+        return VerifyStatus.DIVERGENT, "oscillation without contraction"
     if len(refs) == 2 and abs(refs[0] - refs[1]) > DUAL_AGREEMENT:
-        return VerificationReport(case, VerifyStatus.FAIL, rep.value, rep.lower,
-                                  rep.upper, rep.terms_used, refs, abs_error,
-                                  rep.status,
-                                  detail=f"dual references disagree by {abs(refs[0] - refs[1]):.3e}")
-    if rep.lower is not None and rep.upper is not None:
+        return VerifyStatus.FAIL, f"dual references disagree by {abs(refs[0] - refs[1]):.3e}"
+    if rep.lower is not None:
         slack = 1e-12 * max(1.0, abs(refs[0]))
-        ok = all(rep.lower - slack <= ref <= rep.upper + slack for ref in refs)
-        detail = "" if ok else "reference outside bracket"
-    else:
-        ok = all(abs(rep.value - ref) <= case.tolerance for ref in refs)
-        detail = "" if ok else "absolute error above tolerance"
-    status = VerifyStatus.PASS if ok else VerifyStatus.FAIL
-    if ok and rep.lower is not None and not rep.upper - rep.lower <= case.tolerance:
-        status = VerifyStatus.INCONCLUSIVE
-        detail = (f"bracket width {rep.upper - rep.lower:.3e} above tolerance "
-                  f"{case.tolerance:.1e}")
-    elif ok and rep.lower is None and rep.status is EvalStatus.BUDGET_EXHAUSTED:
-        status = VerifyStatus.INCONCLUSIVE
-        detail = "term budget exhausted without a bracket"
-    return VerificationReport(case, status, rep.value, rep.lower, rep.upper,
-                              rep.terms_used, refs, abs_error, rep.status, detail)
+        if not all(rep.lower - slack <= ref <= rep.upper + slack for ref in refs):
+            return VerifyStatus.FAIL, "reference outside bracket"
+        if not rep.upper - rep.lower <= case.tolerance:
+            return VerifyStatus.INCONCLUSIVE, (f"bracket width {rep.upper - rep.lower:.3e} "
+                                               f"above tolerance {case.tolerance:.1e}")
+    elif not all(abs(rep.value - ref) <= case.tolerance for ref in refs):
+        return VerifyStatus.FAIL, "absolute error above tolerance"
+    elif rep.status is EvalStatus.BUDGET_EXHAUSTED:
+        return VerifyStatus.INCONCLUSIVE, "term budget exhausted without a bracket"
+    return VerifyStatus.PASS, ""
 
 
 # --------------------------------------------------------------------------
@@ -588,6 +586,7 @@ def permutation_theorem_check(a: float, b: float, c: float, r: float,
     |c * I(g side ratio) - g * I(c side ratio)|, all four moments by
     double-exponential quadrature.
     """
+    _check_finite(a=a, b=b, c=c, r=r, p=p, q=q)
     g = a + b - c - r
     if g <= 0 or c - b + r <= 0:
         raise ValueError("g-side integrability violated")

@@ -1,5 +1,10 @@
 """Reference oracles: log-gamma, Beta closed forms, double-exponential quadrature.
 
+ln Gamma is the C library's ``math.lgamma``; ``log_gamma`` adds only the
+argument checks.  Every reference quadrature asks for the one accuracy
+``TARGET`` and reads its result through ``QuadratureResult.checked``, which
+returns the value or raises ``QuadratureError`` with the error estimate.
+
 The quadrature engine drives two variable transforms:
 
 * tanh-sinh on (0, 1) for integrands with at worst algebraic endpoint
@@ -9,7 +14,7 @@ The quadrature engine drives two variable transforms:
 * exp-sinh on (0, inf) for integrands with (super)exponential decay.
 
 Estimates are refined by halving the mesh until two successive levels agree
-to the requested target, with a hard level cap.  Every call needs levels 0-2
+to the accuracy asked for, with a hard level cap.  Every call needs levels 0-2
 (the stopping test starts at level 2) and in practice reaches level 3, so
 the nodes of levels 0-3 are joined into one cached array per domain and the
 integrand is called once on them; each level then sums its own slice, as it
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -47,24 +53,6 @@ class QuadratureError(Exception):
 TARGET = 1e-11
 
 
-# Lanczos approximation, g = 7, 9 terms (Godfrey's coefficient set, as
-# tabulated by Boost.Math and Numerical Recipes 3rd ed.); ~15 significant
-# digits on the positive real axis.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
 def _check_finite(**params: float) -> None:
     """Reject a NaN or infinite parameter with ``ValueError``: it would pass
     the sign checks below and give a silently wrong result."""
@@ -78,12 +66,7 @@ def log_gamma(x: float) -> float:
     _check_finite(x=x)
     if x <= 0:
         raise ValueError("log_gamma requires x > 0")
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def beta(a: float, b: float) -> float:
@@ -228,6 +211,13 @@ class QuadratureResult:
     levels_used: int
     converged: bool
 
+    def checked(self, what: str) -> float:
+        """The value, or ``QuadratureError`` naming ``what`` when the levels
+        ran out before two successive estimates agreed."""
+        if not self.converged:
+            raise QuadratureError(f"{what} did not converge (err={self.error_estimate:.3e})")
+        return self.value
+
 
 def de_integral(f: Callable, domain: str = "unit", target: float = TARGET,
                 level_cap: int = _LEVEL_CAP) -> QuadratureResult:
@@ -305,15 +295,11 @@ class PowerBinomialIntegrand:
             out = out + self.gamma_exp * np.log(self.p + self.q * np.exp(rlx))
         return np.exp(out)
 
-    def integral(self, target: float = TARGET) -> float:
-        res = de_integral(self, "unit", target)
-        if not res.converged:
-            raise QuadratureError(
-                f"power-binomial integral did not converge (err={res.error_estimate:.3e})")
-        return res.value
+    def integral(self) -> float:
+        return de_integral(self, "unit").checked("power-binomial integral")
 
 
-def reciprocal_kernel_integral(h: float, r: float, target: float = TARGET) -> float:
+def reciprocal_kernel_integral(h: float, r: float) -> float:
     """Integral over (0, 1) of x^(h-1) / (1 + x^r) dx."""
     _check_finite(h=h, r=r)
     if h <= 0:
@@ -321,10 +307,10 @@ def reciprocal_kernel_integral(h: float, r: float, target: float = TARGET) -> fl
     if r <= 0:
         raise ValueError("r must be positive")
     return PowerBinomialIntegrand(alpha=h, r=r, beta=0.0, gamma_exp=-1.0,
-                                  p=1.0, q=1.0).integral(target)
+                                  p=1.0, q=1.0).integral()
 
 
-def gaussian_tail_integral(e: float, alpha: float, b: float, target: float = TARGET) -> float:
+def gaussian_tail_integral(e: float, alpha: float, b: float) -> float:
     """Integral over (0, inf) of R^e exp(-(2 b R + R^2) / (2 alpha)) dR."""
     _check_finite(e=e, alpha=alpha, b=b)
     if e <= -1:
@@ -338,16 +324,12 @@ def gaussian_tail_integral(e: float, alpha: float, b: float, target: float = TAR
     def f(x: np.ndarray) -> np.ndarray:
         return np.exp(e * np.log(x) - (2.0 * b * x + x * x) * inv)
 
-    res = de_integral(f, "halfline", target)
-    if not res.converged:
-        raise QuadratureError(
-            f"gaussian tail integral did not converge (err={res.error_estimate:.3e})")
-    return res.value
+    return de_integral(f, "halfline").checked("gaussian tail integral")
 
 
 def contiguous_relation_check(m: float, n: float, kappa_exp: float,
                               p: float, q: float, r: float,
-                              nu_max: int, target: float = TARGET) -> list[float]:
+                              nu_max: int) -> list[float]:
     """Residuals of the three-term contiguous relation.
 
     With P = x^(m-1) (1-x^r)^n (p+q x^r)^kappa and R = x^r, the moments
@@ -360,17 +342,18 @@ def contiguous_relation_check(m: float, n: float, kappa_exp: float,
     b = m (p-q)/r + (n+1) p - (kappa+1) q.  Returns |LHS - RHS| for
     nu = 0..nu_max, every moment evaluated by tanh-sinh quadrature.
     """
+    _check_finite(m=m, n=n, kappa_exp=kappa_exp, p=p, q=q, r=r)
     if m <= 0 or n <= -1:
         raise ValueError("need m > 0 and n > -1 for integrability")
-    if nu_max < 0:
-        raise ValueError("nu_max must be nonnegative")
+    if not isinstance(nu_max, numbers.Integral) or nu_max < 0:
+        raise ValueError(f"nu_max must be a nonnegative integer, got {nu_max!r}")
     alpha_c, beta_c, gamma_c = p, p - q, q
     a_c = m * p / r
     c_c = m * q / r + n * q + (kappa_exp + 2.0) * q
     b_c = m * (p - q) / r + (n + 1.0) * p - (kappa_exp + 1.0) * q
     moments = [
         PowerBinomialIntegrand(alpha=m + r * nu, r=r, beta=n,
-                               gamma_exp=kappa_exp, p=p, q=q).integral(target)
+                               gamma_exp=kappa_exp, p=p, q=q).integral()
         for nu in range(nu_max + 3)
     ]
     return [

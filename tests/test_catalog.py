@@ -1,11 +1,12 @@
 import json
 import math
 import pathlib
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from contfrac import catalog
+from contfrac import catalog, quadrature
 from contfrac.catalog import (
     ConstraintViolation,
     IdentityCase,
@@ -587,6 +588,49 @@ def test_permutation_theorem_examples():
 def test_permutation_theorem_validates_integrability():
     with pytest.raises(ValueError):
         permutation_theorem_check(1, 1, 3, 1, 1, 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["a", "b", "c", "r", "p", "q"])
+def test_permutation_theorem_rejects_a_non_finite_argument_by_its_name(name, bad):
+    # a NaN a used to pass the integrability checks and fail in the integrand
+    # as "alpha must be finite"
+    args = dict(a=3.0, b=2.5, c=2.0, r=1.0, p=1.0, q=0.5)
+    args[name] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        permutation_theorem_check(**args)
+
+
+#: families whose every reference is a Beta closed form or a constant
+_CLOSED_FORM = {"F3", "F4-25", "F4-25alt", "F4-26", "F4-27", "F7", "log2", "brouncker",
+                "e-euler", "log2-recip", "pi-half-a", "pi-half-b", "three-pi-quarter-a",
+                "three-pi-quarter-b"}
+
+
+def _quadrature_backed(case):
+    P = case.params
+    if case.family == "F6":  # quadrature only on its |f - h| = r limit
+        return abs(P["f"] - P["h"]) == P["r"]
+    return case.family not in _CLOSED_FORM
+
+
+@pytest.mark.parametrize("case", builtin_suite(),
+                         ids=lambda c: ",".join([c.family, *(f"{k}={v}" for k, v in c.params.items())]))
+def test_every_quadrature_reference_reports_an_unconverged_integral(case, monkeypatch):
+    original = quadrature.de_integral
+
+    def unconverged(f, domain="unit"):  # stops at level 2, short of the target
+        return original(f, domain, 1e-300, 2)
+
+    monkeypatch.setattr(quadrature, "de_integral", unconverged)
+    monkeypatch.setattr(catalog, "de_integral", unconverged)
+    report = verify(case)
+    if _quadrature_backed(case):
+        assert report.status is VerifyStatus.UNDEFINED, report
+        assert re.fullmatch(r"reference evaluation failed: .* did not converge \(err=.*\)",
+                            report.detail), report.detail
+    else:
+        assert report.status is VerifyStatus.PASS, report
 
 
 def test_family_listing():

@@ -6,6 +6,7 @@ import pytest
 from contfrac import quadrature
 from contfrac.quadrature import (
     PowerBinomialIntegrand,
+    QuadratureError,
     QuadratureResult,
     beta,
     contiguous_relation_check,
@@ -80,7 +81,7 @@ def test_sqrt_kernel_closed_values():
 
 def test_sqrt_kernel_against_quadrature():
     # the kernel has 1 - y^(2r), so the binomial integrand runs at 2r
-    val = PowerBinomialIntegrand(alpha=3, r=4, beta=-0.5).integral(1e-12)
+    val = de_integral(PowerBinomialIntegrand(alpha=3, r=4, beta=-0.5), "unit", 1e-12).value
     assert abs(val - sqrt_kernel_integral(3, 2)) < 1e-10
 
 
@@ -88,7 +89,7 @@ def test_sqrt_kernel_random_draws_match_quadrature(rng):
     for _ in range(20):
         pp = rng.uniform(0.4, 5.0)
         r = rng.uniform(0.4, 3.0)
-        de = PowerBinomialIntegrand(alpha=pp, r=2.0 * r, beta=-0.5).integral(1e-11)
+        de = PowerBinomialIntegrand(alpha=pp, r=2.0 * r, beta=-0.5).integral()
         assert abs(de - sqrt_kernel_integral(pp, r)) < 1e-9
 
 
@@ -111,6 +112,12 @@ def test_de_unit_endpoint_singularity():
 def test_de_flags_divergent_integrand():
     res = de_integral(lambda x, cx: 1.0 / x, "unit", 1e-12)
     assert not res.converged
+
+
+def test_checked_returns_a_converged_value_or_names_the_unconverged_one():
+    assert QuadratureResult(0.5, 1e-13, 3, True).checked("moment") == 0.5
+    with pytest.raises(QuadratureError, match=r"^moment did not converge \(err=2\.500e-03\)$"):
+        QuadratureResult(0.5, 2.5e-3, 12, False).checked("moment")
 
 
 def test_de_error_estimates_shrink_with_level_budget():
@@ -346,11 +353,20 @@ def test_contiguous_relation_basic_cases():
     assert max(contiguous_relation_check(1, 0, 0, 1, 1, 2, 0)) < 1e-8
 
 
-def test_contiguous_residuals_scale_with_target():
-    coarse = max(contiguous_relation_check(1.5, 0.5, 0.5, 1, 0.5, 1, 3, target=1e-4))
-    fine = max(contiguous_relation_check(1.5, 0.5, 0.5, 1, 0.5, 1, 3, target=1e-12))
-    assert fine <= coarse
-    assert fine < 1e-9
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["m", "n", "kappa_exp", "p", "q", "r"])
+def test_contiguous_rejects_a_non_finite_argument_by_its_name(name, bad):
+    # an infinite r used to reach the integrand as alpha = m + r*0 = nan
+    args = dict(m=1.5, n=0.5, kappa_exp=0.5, p=1.0, q=0.5, r=1.0, nu_max=1)
+    args[name] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        contiguous_relation_check(**args)
+
+
+@pytest.mark.parametrize("nu_max", [1.5, 2.0, "3"])
+def test_contiguous_rejects_a_non_integral_nu_max(nu_max):
+    with pytest.raises(ValueError, match="nu_max must be a nonnegative integer"):
+        contiguous_relation_check(1.5, 0.5, 0.5, 1, 0.5, 1, nu_max)
 
 
 def test_contiguous_validates_integrability():
