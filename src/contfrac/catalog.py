@@ -563,12 +563,20 @@ def chain_alpha(m: Rational, n: Rational, s: Rational, kappa: Rational,
     The first numerator carries +kappa: the reading with -kappa there breaks
     that relation (residual about 1.9 at (m, n, s, kappa) = (3/2, 2, 1/2, 1),
     against 2e-13 for +kappa).
+
+    Raises ``ContinuedFractionError``, naming the status and the terms used,
+    unless the evaluation converged or the fraction terminated within
+    ``depth`` terms.
     """
     if shift < 0:
         raise ValueError("shift must be nonnegative")
     cf = _chain_cf(as_fraction(m), as_fraction(n), as_fraction(s), as_fraction(kappa),
                    shift, +1)
-    return eval_float(cf, 1e-11, depth).value
+    rep = eval_float(cf, 1e-11, depth)
+    if rep.status not in (EvalStatus.CONVERGED, EvalStatus.TERMINATED_FINITE):
+        raise ContinuedFractionError(f"chain letter {shift} not evaluated: {rep.status.value} "
+                                     f"after {rep.terms_used} terms")
+    return rep.value
 
 
 def product_identity_check(q: float, r: float, s: float) -> float:

@@ -89,6 +89,18 @@ def _reduced(value: Rational) -> Exact:
     return x.numerator if x.denominator == 1 else x
 
 
+def _parts(x: Exact) -> Tuple[int, int, bool]:
+    """(numerator, denominator, whether x is a Fraction) of an exact value."""
+    return x.numerator, x.denominator, not isinstance(x, int)
+
+
+def _exact(num: int, den: int, fraction: bool) -> Exact:
+    """num/den typed as the Fraction arithmetic on the same operands would
+    type it: one reduced Fraction when some operand was a Fraction, else the
+    int ``num`` (``den`` is then 1)."""
+    return Fraction(num, den) if fraction else num
+
+
 class PartialTerm(NamedTuple):
     numerator: Exact
     denominator: Exact
@@ -355,23 +367,58 @@ class ContinuedFraction:
         return ContinuedFraction(as_fraction(leading), lambda: iter(fixed))
 
 
-@dataclass(frozen=True)
 class Convergent:
-    """Exact convergent p/q at a given index; q may be zero (undefined value)."""
+    """Exact convergent p/q at a given index; q may be zero (undefined value).
 
-    index: int
-    p: Fraction
-    q: Fraction
+    ``p`` and ``q`` are the continuants p_k and q_k as ``Fraction`` values,
+    but what is stored is three integers P, Q and S > 0 with p = P/S and
+    q = Q/S, as ``convergent_iter`` makes them.  Reading ``p``, ``q`` or
+    ``value`` = P/Q reduces one fraction, which costs a gcd, and so does
+    ``hash``; ``defined``, ``index`` and ``==`` cost none.  Two convergents
+    are equal when their index, p and q are.  The public attributes are
+    read-only.
+    """
+
+    __slots__ = ("_index", "_P", "_Q", "_S")
+
+    def __init__(self, index: int, p: Rational, q: Rational):
+        p, q = as_fraction(p), as_fraction(q)
+        self._index, self._S = index, p.denominator * q.denominator
+        self._P, self._Q = p.numerator * q.denominator, q.numerator * p.denominator
+
+    @property
+    def index(self) -> int:
+        return self._index
+
+    @property
+    def p(self) -> Fraction:
+        return Fraction(self._P, self._S)
+
+    @property
+    def q(self) -> Fraction:
+        return Fraction(self._Q, self._S)
 
     @property
     def defined(self) -> bool:
-        return self.q != 0
+        return self._Q != 0
 
     @property
     def value(self) -> Fraction:
-        if self.q == 0:
-            raise ZeroContinuantError(self.index)
-        return self.p / self.q
+        if self._Q == 0:
+            raise ZeroContinuantError(self._index)
+        return Fraction(self._P, self._Q)
+
+    def __eq__(self, other):
+        if not isinstance(other, Convergent):
+            return NotImplemented
+        return (self._index == other._index and self._P * other._S == other._P * self._S
+                and self._Q * other._S == other._Q * self._S)
+
+    def __hash__(self):
+        return hash((self._index, self.p, self.q))
+
+    def __repr__(self):
+        return f"Convergent(index={self._index!r}, p={self.p!r}, q={self.q!r})"
 
 
 def convergent_iter(cf: ContinuedFraction) -> Iterator[Convergent]:
@@ -379,13 +426,33 @@ def convergent_iter(cf: ContinuedFraction) -> Iterator[Convergent]:
 
     Undefined convergents (q_k = 0) are yielded with q = 0 so callers can skip
     them; the recurrence itself continues unharmed.
+
+    The recurrence runs on integers P, P', Q, Q' over one common scale S, so
+    p_k = P/S and p_{k-1} = P'/S.  A term b = bn/bd, a = an/ad multiplies it
+    through by z = ad bd: with x = an bd and y = bn ad,
+
+        P, P' = x P + y P', z P    (Q, Q' likewise),    S = z S,
+
+    and a term of two ints is the plain step with z = 1.  No gcd is taken;
+    a ``Convergent`` reduces a value only when it is read.
     """
-    p_prev, q_prev = Fraction(1), Fraction(0)
-    p, q = cf.leading, Fraction(1)
-    for k, t in enumerate(cf.terms(), start=1):
-        p, p_prev = t.denominator * p + t.numerator * p_prev, p
-        q, q_prev = t.denominator * q + t.numerator * q_prev, q
-        yield Convergent(k, p, q)
+    new = object.__new__
+    lead = cf.leading
+    P, S = lead.numerator, lead.denominator
+    P_prev, Q, Q_prev = S, S, 0
+    for k, (b, a) in enumerate(cf.terms(), start=1):
+        if type(b) is int and type(a) is int:
+            P, P_prev = a * P + b * P_prev, P
+            Q, Q_prev = a * Q + b * Q_prev, Q
+        else:
+            an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+            x, y, z = an * bd, bn * ad, ad * bd
+            P, P_prev = x * P + y * P_prev, z * P
+            Q, Q_prev = x * Q + y * Q_prev, z * Q
+            S *= z
+        c = new(Convergent)  # stores P, Q and S as they are: no gcd here
+        c._index, c._P, c._Q, c._S = k, P, Q, S
+        yield c
 
 
 def convergent_sequence(cf: ContinuedFraction, k: int) -> list[Convergent]:
@@ -431,7 +498,10 @@ def even_contraction(cf: ContinuedFraction) -> ContinuedFraction:
                    - (a_{2k+2} b_{2k+1} b_{2k} / a_{2k}) x_{2k-2}
 
     The equality is exact (rational identity).  The loop keeps r = b_{2k}/a_{2k}
-    and s = 1/a_{2k} of the last even term, seeded with r = -1 and s = 0, which
+    and s = 1/a_{2k} of the last even term, as integers over one denominator,
+    and builds each contracted term from the integer numerators and
+    denominators of the terms with one reduced ``Fraction``, typed as the
+    identity's Fraction arithmetic would type it.  It seeds r = -1 and s = 0, which
     makes the first term (b_1 a_2, a_1 a_2 + b_2) an instance of the general
     one.  A finite fraction of odd length gets one closing term (-b r, a + b s)
     from its last term (b, a), so the contracted value matches the original
@@ -444,18 +514,29 @@ def even_contraction(cf: ContinuedFraction) -> ContinuedFraction:
 
     def factory() -> Iterator[PartialTerm]:
         it = cf.terms()
-        r, s = -1, 0
+        # r = rn/d and s = sn/d in ints; frac says whether the Fraction
+        # arithmetic of the identity above would hold them as Fractions
+        rn, sn, d, frac = -1, 0, 1, False
         for depth, (b_odd, a_odd) in enumerate(it, start=1):  # original index 2k+1
+            bon, bod, bof = _parts(b_odd)
+            aon, aod, aof = _parts(a_odd)
+            # u/w = a_{2k+1} + b_{2k+1} s
+            u, w = aon * bod * d + bon * sn * aod, aod * bod * d
             t_even = next(it, None)  # original index 2k+2
             if t_even is None:
                 # odd tail: close so the last contracted convergent is v_{2k+1}
-                yield PartialTerm(-b_odd * r, a_odd + b_odd * s)
+                yield PartialTerm(_exact(-bon * rn, bod * d, frac or bof),
+                                  _exact(u, w, frac or bof or aof))
                 return
             b_even, a_even = t_even
             if a_even == 0:
                 raise ContractionError(depth)
-            yield PartialTerm(-a_even * b_odd * r, a_even * a_odd + a_even * b_odd * s + b_even)
-            r, s = Fraction(b_even, a_even), Fraction(1, a_even)
+            ben, bed, bef = _parts(b_even)
+            aen, aed, aef = _parts(a_even)
+            yield PartialTerm(_exact(-aen * bon * rn, aed * bod * d, frac or aef or bof),
+                              _exact(aen * u * bed + ben * aed * w, aed * w * bed,
+                                     frac or aef or aof or bof or bef))
+            rn, sn, d, frac = ben * aed, aed * bed, bed * aen, True
 
     return ContinuedFraction(cf.leading, factory)
 

@@ -13,10 +13,13 @@ examples: numerators all 1 with denominators 1,2,3,4,... gives the fraction
 for log 2; denominators 1,3,5,7,... gives Brouncker's fraction for pi/4.
 
 A ``SeriesSpec`` is one stream of exact pairs (n_j, d_j).  The transform reads
-it once, in order: term k of the fraction needs pairs 0..k-1 only.  It divides
-by every n_j and d_j and by every pivot n_{j-1} d_j - n_j d_{j-1}, so it stops
-at the first zero series term or zero pivot with ``ZeroPivotError``; the
-terms made before it stand as a partial result.
+it once, in order: term k of the fraction needs pairs 0..k-1 only.  It works
+on the integer numerators and denominators of n_j and d_j and makes one
+reduced ``Fraction`` per partial term.  A pivot n_{j-1} d_j - n_j d_{j-1} is a
+partial denominator and may be zero; every continuant q_k is a product of
+series numerators and denominators (see ``series_to_cf``), so the transform
+stops only at the first zero n_j or d_j, with ``ZeroPivotError``; the terms
+made before it stand as a partial result.
 """
 
 from __future__ import annotations
@@ -26,16 +29,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, Tuple
 
-from .core import ContinuedFraction, ContinuedFractionError, Rational, as_fraction, term
+from .core import (ContinuedFraction, ContinuedFractionError, PartialTerm, Rational, _exact, _parts,
+                   as_fraction, term)
 
 
 class ZeroPivotError(ContinuedFractionError):
-    """Term ``depth`` of the transform divides by zero: by the series term
-    n_j/d_j with j = depth - 1, or by the pivot n_{j-1} d_j - n_j d_{j-1}."""
+    """Term ``depth`` of the transform needs the series term n_j/d_j with
+    j = depth - 1, and n_j or d_j is zero.  (A zero pivot
+    n_{j-1} d_j - n_j d_{j-1} is only a zero partial denominator, which is a
+    legal term; the name stays for compatibility.)"""
 
     def __init__(self, depth: int):
         self.depth = depth
-        super().__init__(f"zero pivot or zero series term at depth {depth}; "
+        super().__init__(f"zero series term at depth {depth}; "
                          "conversion stops with a partial result")
 
 
@@ -89,28 +95,58 @@ class SeriesSpec:
 def series_to_cf(series: SeriesSpec) -> ContinuedFraction:
     """Continued fraction whose convergents are the partial sums, exactly.
 
+    Term 1 is (n_0, d_0), and term k >= 2 is
+
+        b_k = n_{k-3} n_{k-1} d_{k-2}^2,    a_k = n_{k-2} d_{k-1} - n_{k-1} d_{k-2}
+
+    with n_{-1} = 1.  The pivot a_k may be zero, like any partial
+    denominator, because every continuant is
+
+        q_k = (d_0 ... d_{k-1}) (n_0 ... n_{k-2})        (empty products are 1).
+
+    Proof by induction: q_0 = 1 and q_1 = a_1 = d_0.  For k >= 2, with
+    q_{k-1} and q_{k-2} of this form, b_k q_{k-2} = n_{k-1} d_{k-2} times
+    D = (d_0 ... d_{k-2})(n_0 ... n_{k-3}) and a_k q_{k-1} = a_k D, so
+    q_k = D (a_k + n_{k-1} d_{k-2}) = D n_{k-2} d_{k-1}.  Hence q_k != 0
+    while no series term before it is zero.  With
+    b_1 ... b_k = (n_0 ... n_{k-3})(n_0 ... n_{k-1})(d_0 ... d_{k-2})^2 the
+    determinant formula gives p_k/q_k - p_{k-1}/q_{k-1} =
+    (-1)^{k-1} n_{k-1}/d_{k-1}, the series term, and p_1/q_1 = n_0/d_0: every
+    convergent is its partial sum.
+
     Requires at least two series terms.  A zero series term (n_j = 0 or
-    d_j = 0) or a zero pivot n_{j-1} d_j - n_j d_{j-1} aborts the conversion
-    at depth j + 1 (``ZeroPivotError``); terms already generated stand as a
-    partial result.
+    d_j = 0) stops the conversion at depth j + 1 (``ZeroPivotError``);
+    terms already generated stand as a partial result.  Each term is built
+    from the integer numerators and denominators of n_j and d_j as one
+    reduced ``Fraction``, or as an int when every value it is made of is an
+    int.
     """
     if len(list(itertools.islice(series.pairs(), 2))) < 2:
         raise ValueError("series_to_cf needs at least two series terms")
 
     def factory():
         it = series.pairs()
-        n_prev1, d_prev1 = next(it)
-        if not (n_prev1 and d_prev1):
+        n, d = next(it)
+        if not (n and d):
             raise ZeroPivotError(1)
-        yield term(n_prev1, d_prev1)
+        yield term(n, d)
+        # n_{k-3}, n_{k-2}, d_{k-2} as (numerator, denominator, is a Fraction);
         # n_{-1} = 1 makes term 2 an instance of the general term
-        n_prev2 = 1
-        for depth, (nk, dk) in enumerate(it, 2):
-            pivot = n_prev1 * dk - nk * d_prev1
-            if not (pivot and nk and dk):
+        n3n, n3d, n3f = 1, 1, False
+        n2n, n2d, n2f = _parts(n)
+        d2n, d2d, d2f = _parts(d)
+        for depth, (n, d) in enumerate(it, 2):
+            if not (n and d):
                 raise ZeroPivotError(depth)
-            yield term(n_prev2 * nk * d_prev1 * d_prev1, pivot)
-            n_prev2, n_prev1, d_prev1 = n_prev1, nk, dk
+            n1n, n1d, n1f = _parts(n)
+            d1n, d1d, d1f = _parts(d)
+            yield PartialTerm(
+                _exact(n3n * n1n * d2n * d2n, n3d * n1d * d2d * d2d, n3f or n1f or d2f),
+                _exact(n2n * d1n * n1d * d2d - n1n * d2n * n2d * d1d, n2d * d1d * n1d * d2d,
+                       n2f or d1f or n1f or d2f))
+            n3n, n3d, n3f = n2n, n2d, n2f
+            n2n, n2d, n2f = n1n, n1d, n1f
+            d2n, d2d, d2f = d1n, d1d, d1f
 
     return ContinuedFraction(Fraction(0), factory)
 

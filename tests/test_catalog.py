@@ -21,7 +21,7 @@ from contfrac.catalog import (
     reference_value,
     verify,
 )
-from contfrac.core import EvalStatus, PositivityClass, eval_float, positivity_class
+from contfrac.core import ContinuedFractionError, EvalStatus, PositivityClass, eval_float, positivity_class
 from contfrac.quadrature import beta, sqrt_kernel_integral
 
 
@@ -549,6 +549,14 @@ def test_chain_degenerate_s0_hits_quadratic_fixed_point():
     val = chain_alpha(2, F(3, 2), 0, F(5, 4), 0, 20_000)
     assert abs(val - root) < 1e-9
     assert abs(val * val - (m + n) * val - kap) < 1e-8
+
+
+def test_chain_letter_with_a_spent_budget_raises():
+    # at (1, 1, 1, 1) the letter still moves after 2,000 terms: returning the
+    # value reported 1.8018 from a budget-exhausted evaluation
+    with pytest.raises(ContinuedFractionError) as exc_info:
+        chain_alpha(1, 1, 1, 1, 0, 2000)
+    assert "budget-exhausted" in str(exc_info.value) and "2000 terms" in str(exc_info.value)
 
 
 def test_chain_metadata_records_kappa_sign():

@@ -163,12 +163,14 @@ def test_convert_empty_series_is_usage_error(capsys):
     assert code == EX_USAGE
 
 
-def test_convert_zero_pivot_gives_partial_and_exit_2(capsys):
+def test_convert_zero_pivot_prints_every_term_and_exits_0(capsys):
+    # the zero pivot n0 d1 - n1 d0 is the partial denominator a_2, a legal
+    # term: convergents 1/2, 0, 1/3 are the partial sums
     code, out, err = run(capsys, "convert", "series-to-cf",
                          "--numerators", "1,1,1", "--denominators", "2,2,3")
-    assert code == EX_BUDGET
-    assert out.strip().splitlines() == ["1\t2"]
-    assert "zero pivot" in err
+    assert code == EX_OK
+    assert out.strip().splitlines() == ["1\t2", "4\t0", "4\t1"]
+    assert err == ""
 
 
 def test_convert_zero_series_term_gives_partial_and_exit_2(capsys):

@@ -490,9 +490,14 @@ def test_positive_cf_convergents_interleave(cf):
     assert max(evens) < min(odds)
 
 
-def test_determinant_identity_depth_30(rng):
-    cf = random_positive_cf(rng, 30)
-    seq = convergent_sequence(cf, 30)
+def test_determinant_identity_depth_200(rng):
+    # terms with denominators 1-6 grow the common scale of the integer
+    # continuants at almost every step
+    cf = random_positive_cf(rng, 200)
+    assert sum(t.numerator.denominator > 1 or t.denominator.denominator > 1
+               for t in cf.terms()) > 150
+    seq = convergent_sequence(cf, 200)
+    assert len(seq) == 200
     prod = F(1)
     prev_p, prev_q = cf.leading, F(1)
     for k, (conv, t) in enumerate(zip(seq, cf.terms()), start=1):

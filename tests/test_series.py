@@ -49,16 +49,15 @@ def test_convergents_equal_partial_sums():
     assert [c.value for c in convergent_sequence(cf, 5)] == spec.partial_sums(5)
 
 
-def test_zero_pivot_aborts_with_partial_result():
-    # n0 d1 - n1 d0 = 1*2 - 1*2 = 0
+def test_zero_pivot_is_a_legal_term():
+    # n0 d1 - n1 d0 = 1*2 - 1*2 = 0 is the partial denominator a_2; the
+    # conversion goes on, and every convergent is its partial sum
     spec = SeriesSpec.from_lists([1, 1, 1], [2, 2, 3])
     cf = series_to_cf(spec)
-    collected = []
-    with pytest.raises(ZeroPivotError) as exc_info:
-        for t in cf.terms():
-            collected.append(t)
-    assert exc_info.value.depth == 2
-    assert len(collected) == 1  # the partial result stands
+    assert [(t.numerator, t.denominator) for t in cf.take(5)] == [(1, 2), (4, 0), (4, 1)]
+    convergents = convergent_sequence(cf, 3)
+    assert all(c.defined for c in convergents)
+    assert [c.value for c in convergents] == spec.partial_sums(3) == [F(1, 2), 0, F(1, 3)]
 
 
 def collect(cf):
@@ -157,12 +156,9 @@ def test_round_trip_reproduces_partial_sums_exactly(rng):
 @given(st.lists(st.fractions(min_value=F(1, 4), max_value=4), min_size=3, max_size=8),
        st.lists(st.fractions(min_value=F(1, 4), max_value=4), min_size=3, max_size=8))
 def test_round_trip_property(nums, dens):
+    # a zero pivot is a legal term: no draw is filtered out
     length = min(len(nums), len(dens))
     nums, dens = nums[:length], dens[:length]
-    pivots_ok = all(nums[k - 1] * dens[k] - nums[k] * dens[k - 1] != 0
-                    for k in range(1, length))
-    if not pivots_ok:
-        return
     spec = SeriesSpec.from_lists(nums, dens)
     cf = series_to_cf(spec)
     assert euler_series_expansion(cf, length) == spec.terms(length)
