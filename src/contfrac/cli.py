@@ -8,9 +8,10 @@ Subcommands:
 * ``riccati``  compare a Riccati fraction against the integrated equation
 
 Exit codes: 0 ok / all passed, 1 verification failure, 2 budget exhausted,
-partial output, or verify cases that are at worst inconclusive, 3 divergence
-flagged, 64 usage error or a parameter point that cannot be evaluated, 66
-unreadable manifest.
+partial output (a reader that closed the output pipe early included), or
+verify cases or a Riccati comparison that are at worst inconclusive, 3
+divergence flagged, 64 usage error or a parameter point that cannot be
+evaluated, 66 unreadable manifest.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -381,6 +381,8 @@ def _cmd_verify(args) -> int:
     if args.jobs > 1 and len(cases) > 1:
         # the pool starts all its workers at once: no more than cases or cores
         workers = min(args.jobs, len(cases), os.cpu_count() or 1)
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(verify, cases))
     else:
@@ -399,7 +401,12 @@ def _cmd_riccati(args) -> int:
     problem = RiccatiProblem(_parse_rational(args.a), _parse_rational(args.b),
                              _parse_rational(args.c), _parse_rational(args.m))
     rep = verify_riccati(problem, args.depth, args.tol)
-    verdict = "pass" if rep.passed else "fail"
+    if rep.passed:
+        verdict, code = "pass", EX_OK
+    elif rep.eval_status is EvalStatus.BUDGET_EXHAUSTED:
+        verdict, code = "inconclusive", EX_BUDGET
+    else:
+        verdict, code = "fail", EX_FAIL
     if args.json:
         print(json.dumps({
             "cf_value": rep.cf_value,
@@ -409,6 +416,7 @@ def _cmd_riccati(args) -> int:
             "ode_steps": rep.ode_steps,
             "ode_est_error": rep.ode_est_error,
             "terminated_depth": rep.terminated_depth,
+            "eval_status": rep.eval_status.value,
             "verdict": verdict,
         }))
     else:
@@ -417,26 +425,38 @@ def _cmd_riccati(args) -> int:
         print(f"abs error  {_fmt(rep.abs_error)}")
         if rep.terminated_depth is not None:
             print(f"terminates at depth {rep.terminated_depth}")
+        print(f"status     {rep.eval_status.value}")
         print(f"verdict    {verdict}")
-    return EX_OK if rep.passed else EX_FAIL
+    return code
+
+
+def _run(args) -> int:
+    if args.command == "eval":
+        return _cmd_eval(args)
+    if args.command == "convert":
+        if args.direction == "series-to-cf":
+            return _cmd_convert_s2c(args)
+        return _cmd_convert_c2s(args)
+    if args.command == "verify":
+        return _cmd_verify(args)
+    return _cmd_riccati(args)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "convert":
-            if args.direction == "series-to-cf":
-                return _cmd_convert_s2c(args)
-            return _cmd_convert_c2s(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_riccati(args)
+        code = _run(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
+    except BrokenPipeError:
+        # the reader closed the pipe early: point stdout at devnull so the
+        # interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_BUDGET
     # a parameter point the command cannot evaluate: an unknown family or
     # parameter, a violated constraint (a ValueError), a nonzero term that
     # rounds to 0.0, a float overflow or zero division, unconverged

@@ -17,6 +17,10 @@ seeded with p_{-1} = 1, q_{-1} = 0, p_0 = leading, q_0 = 1, so consecutive
 convergents differ by (-1)^{k+1} (prod b_i) / (q_{k-1} q_k).  For fractions
 whose entries are all positive, consecutive convergents bracket the limit;
 ``eval_float`` exploits that for rigorous stopping.
+
+numpy is imported in ``_numpy_floats`` alone, on the first float64 chunk:
+an evaluation of a spec fraction past its first ``_LAZY_TERMS`` polynomial
+terms.  Exact work and shorter evaluations never load it.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 Rational = Union[int, str, float, Fraction]
 
@@ -263,6 +265,8 @@ def _numpy_floats(poly: Poly, k0: int, k1: int) -> Optional[Tuple[list, int]]:
         return None
     if len(ints) == 1:
         return [ints[0] / den] * (k1 - k0), (k1 if ints[0] else k0)
+    import numpy as np
+
     ks = np.arange(k0, k1, dtype=np.float64)
     n = ks * ints[0]
     for c in ints[1:-1]:

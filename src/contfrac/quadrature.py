@@ -29,6 +29,10 @@ per-level and joined arrays are built.  ``PowerBinomialIntegrand`` looks it
 up by the identity of the array it is called on; any other array, even one
 with equal values, gets a fresh computation.  Integrands keep the
 ``f(x, cx)`` / ``f(x)`` protocol.
+
+numpy is imported inside each function that makes or reads node arrays, not
+at module level: importing this module, or computing ``log_gamma``, ``beta``
+and ``sqrt_kernel_integral``, does not load it; the first quadrature does.
 """
 
 from __future__ import annotations
@@ -38,11 +42,12 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .core import check_tolerance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class QuadratureError(Exception):
@@ -104,6 +109,8 @@ _T_MAX_HALF = 6.8
 
 def _stable_log(x: np.ndarray, cx: np.ndarray) -> np.ndarray:
     """log(x) computed from whichever of x, 1-x is known more accurately."""
+    import numpy as np
+
     return np.where(cx < 0.5, np.log1p(-cx), np.log(np.maximum(x, np.finfo(float).tiny)))
 
 
@@ -113,6 +120,8 @@ _NODE_LOGS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 def _cache_log(x: np.ndarray, cx: np.ndarray) -> None:
+    import numpy as np
+
     # np.where evaluates log1p(-cx) everywhere, and cx is 1.0 at the nodes nearest 0
     with np.errstate(divide="ignore"):
         lx = _stable_log(x, cx)
@@ -130,6 +139,8 @@ def _node_log(x: np.ndarray, cx: np.ndarray) -> np.ndarray:
 
 
 def _level_grid(level: int, t_max: float) -> np.ndarray:
+    import numpy as np
+
     h = 0.5 ** level
     if level == 0:
         return np.arange(0.0, t_max + h, h)
@@ -139,6 +150,8 @@ def _level_grid(level: int, t_max: float) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _unit_nodes(level: int):
     """New tanh-sinh nodes at this refinement level: (x, 1-x, weight)."""
+    import numpy as np
+
     ts = _level_grid(level, _T_MAX_UNIT)
     z = _HALF_PI * np.sinh(ts)
     em = np.exp(-2.0 * z)
@@ -162,6 +175,8 @@ def _unit_nodes(level: int):
 @lru_cache(maxsize=None)
 def _halfline_nodes(level: int):
     """New exp-sinh nodes at this refinement level: (x, weight)."""
+    import numpy as np
+
     ts = _level_grid(level, _T_MAX_HALF)
     z = _HALF_PI * np.sinh(ts)
     coshes = _HALF_PI * np.cosh(ts)
@@ -187,6 +202,8 @@ def _level_nodes(domain: str, level: int):
 def _joined_nodes(domain: str):
     """Nodes of levels 0.._JOINED joined field by field, and the cuts:
     level k is ``[cuts[k]:cuts[k + 1]]`` of the joined arrays."""
+    import numpy as np
+
     levels = [_level_nodes(domain, level) for level in range(_JOINED + 1)]
     fields = tuple(np.concatenate(field) for field in zip(*levels))
     for a in fields:
@@ -198,6 +215,8 @@ def _joined_nodes(domain: str):
 
 def _contributions(f: Callable, nodes) -> np.ndarray:
     """Weighted integrand values at the nodes, non-finite ones set to 0."""
+    import numpy as np
+
     *args, w = nodes
     contrib = np.asarray(f(*args), dtype=float) * w  # a fresh array
     contrib[~np.isfinite(contrib)] = 0.0
@@ -232,6 +251,8 @@ def de_integral(f: Callable, domain: str = "unit", target: float = TARGET,
     call on their joined nodes, inside ``np.errstate(all="ignore")``, and
     each later level in a call of its own.
     """
+    import numpy as np
+
     check_tolerance(target, "target")
     if domain not in ("unit", "halfline"):
         raise ValueError("domain must be 'unit' or 'halfline'")
@@ -287,6 +308,8 @@ class PowerBinomialIntegrand:
             raise ValueError("p + q x^r must stay positive on (0, 1)")
 
     def __call__(self, x: np.ndarray, cx: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         lx = _node_log(x, cx)
         rlx = self.r * lx
         one_minus_xr = -np.expm1(rlx)
@@ -319,6 +342,8 @@ def gaussian_tail_integral(e: float, alpha: float, b: float) -> float:
         raise ValueError("alpha must be positive")
     if b < 0:
         raise ValueError("b must be nonnegative")
+    import numpy as np
+
     inv = 0.5 / alpha
 
     def f(x: np.ndarray) -> np.ndarray:

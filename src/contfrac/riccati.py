@@ -224,10 +224,16 @@ def solve_riccati(problem: RiccatiProblem, tol: float,
 
 @dataclass(frozen=True)
 class RiccatiReport:
+    """The fraction against the integrated equation.  ``passed`` needs both
+    an evaluation that converged or ended finitely (``eval_status``) and an
+    ``abs_error`` within the tolerance: a fraction cut off by the depth
+    budget shows nothing, however close its last value is."""
+
     cf_value: float
     ode_value: float
     abs_error: float
     terms_used: int
+    eval_status: EvalStatus
     ode_steps: int
     ode_est_error: float
     passed: bool
@@ -241,5 +247,6 @@ def verify_riccati(problem: RiccatiProblem, depth: int, tol: float) -> RiccatiRe
     ode = solve_riccati(problem, tol)
     err = abs(rep.value - ode.w_at_1)
     depth_term = (rep.terms_used if rep.status is EvalStatus.TERMINATED_FINITE else None)
-    return RiccatiReport(rep.value, ode.w_at_1, err, rep.terms_used, ode.steps,
-                         ode.est_error, err <= tol, depth_term)
+    settled = rep.status in (EvalStatus.CONVERGED, EvalStatus.TERMINATED_FINITE)
+    return RiccatiReport(rep.value, ode.w_at_1, err, rep.terms_used, rep.status, ode.steps,
+                         ode.est_error, settled and err <= tol, depth_term)

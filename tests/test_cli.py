@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import pathlib
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
@@ -252,7 +254,8 @@ class SerialPool:
 ])
 def test_verify_pool_starts_no_more_workers_than_cases_or_cores(capsys, monkeypatch,
                                                                 jobs, cores, want):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    # the verify command imports the pool class only when it starts a pool
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
     SerialPool.created.clear()
     code, out, _ = run(capsys, "verify", "--family", "F10", "--jobs", jobs)
@@ -419,6 +422,28 @@ def test_verify_manifest_boolean_tolerance_exit_64(tmp_path, capsys, tolerance):
     assert out == ""
 
 
+# ------------------------------------------------------------ closed output pipe
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--family", "F3", "--param", "s=7/3", "--exact", "--terms", "400",
+     "--tol", "1e-6"),                                                    # 250 kB
+    ("convert", "cf-to-series", "--family", "e-euler", "--depth", "900"),  # 2.8 MB
+], ids=["eval", "cf-to-series"])
+def test_a_reader_that_closes_the_pipe_early_gives_exit_2(argv):
+    # a fresh interpreter writes to a real pipe, far more than its buffer
+    # holds, and the reader closes it after one line
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {src!r}); "
+         "from contfrac.cli import main; sys.exit(main())", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == EX_BUDGET, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 # ------------------------------------------------------------ riccati
 
 def test_riccati_cot_case(capsys):
@@ -456,6 +481,24 @@ def test_riccati_terminating_preset_reports_depth(capsys):
                        "--m", "0", "--json")
     assert code == EX_OK
     assert json.loads(out)["terminated_depth"] == 2
+
+
+SPENT_RICCATI = ("riccati", "--a", "-23/4", "--b", "2", "--c", "3", "--m", "17/4",
+                 "--depth", "6")
+
+
+def test_riccati_spent_depth_budget_is_inconclusive(capsys):
+    code, out, _ = run(capsys, *SPENT_RICCATI)
+    assert code == EX_BUDGET
+    assert "status     budget-exhausted\n" in out and "verdict    inconclusive\n" in out
+
+
+def test_riccati_json_spent_depth_budget_is_inconclusive(capsys):
+    code, out, _ = run(capsys, *SPENT_RICCATI, "--json")
+    payload = json.loads(out)
+    assert code == EX_BUDGET and payload["abs_error"] <= 1e-8
+    assert payload["eval_status"] == "budget-exhausted"
+    assert payload["verdict"] == "inconclusive"
 
 
 def test_riccati_zero_depth_and_nan_tolerance_are_usage_errors(capsys):

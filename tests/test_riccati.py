@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from contfrac.core import convergent_sequence, equivalence_transform
+from contfrac.core import EvalStatus, convergent_sequence, equivalence_transform
 from contfrac.riccati import (
     PoleEncounteredError,
     RiccatiDomainError,
@@ -216,6 +216,15 @@ def test_verify_nonzero_linear_coefficient():
     # pins the reduced equation's x^(m+2) coupling of the linear term
     rep = verify_riccati(RiccatiProblem(1, F(1, 3), 1, 0), 80, 1e-8)
     assert rep.passed
+
+
+def test_a_spent_depth_budget_does_not_pass():
+    # six terms leave this fraction within 2e-9 of the equation, but unsettled
+    rep = verify_riccati(RiccatiProblem(F(-23, 4), 2, 3, F(17, 4)), 6, 1e-8)
+    assert rep.abs_error <= 1e-8
+    assert rep.eval_status is EvalStatus.BUDGET_EXHAUSTED and not rep.passed
+    rep = verify_riccati(RiccatiProblem(F(-23, 4), 2, 3, F(17, 4)), 80, 1e-8)
+    assert rep.eval_status is EvalStatus.CONVERGED and rep.passed
 
 
 def test_pole_detection():
