@@ -10,8 +10,8 @@ Subcommands:
 Exit codes: 0 ok / all passed, 1 verification failure, 2 budget exhausted,
 partial output (a reader that closed the output pipe early included), or
 verify cases or a Riccati comparison that are at worst inconclusive, 3
-divergence flagged, 64 usage error or a parameter point that cannot be
-evaluated, 66 unreadable manifest.
+divergence flagged (an evaluation or a Riccati comparison), 64 usage error
+or a parameter point that cannot be evaluated, 66 unreadable manifest.
 """
 
 from __future__ import annotations
@@ -405,6 +405,8 @@ def _cmd_riccati(args) -> int:
         verdict, code = "pass", EX_OK
     elif rep.eval_status is EvalStatus.BUDGET_EXHAUSTED:
         verdict, code = "inconclusive", EX_BUDGET
+    elif rep.eval_status is EvalStatus.DIVERGENT:
+        verdict, code = "divergent", EX_DIVERGENT
     else:
         verdict, code = "fail", EX_FAIL
     if args.json:

@@ -6,8 +6,9 @@ partial terms, written here as
     leading + b1/(a1 + b2/(a2 + b3/(a3 + ...)))
 
 with b_k the partial numerators and a_k the partial denominators.  Terms are
-exact ``fractions.Fraction`` values; nothing is rounded until ``eval_float``
-is asked for a floating-point enclosure.
+exact: every term the library makes or reads is an ``int`` when its value is
+integral, else one reduced ``fractions.Fraction``.  Nothing is rounded until
+``eval_float`` is asked for a floating-point enclosure.
 
 Convergents p_k/q_k follow the usual three-term recurrences
 
@@ -77,30 +78,22 @@ def as_fraction(value: Rational) -> Fraction:
 Exact = Union[int, Fraction]
 
 
-def _as_exact(value: Rational) -> Exact:
-    # ints are exact rationals too; keeping them raw makes integer-parameter
-    # term streams several times faster than all-Fraction streams.
-    if isinstance(value, (int, Fraction)):
-        return value
-    return Fraction(value)
-
-
-def _reduced(value: Rational) -> Exact:
-    """Exact value, as a plain int when it is integral."""
-    x = as_fraction(value)
+def _exact(num: int, den: int) -> Exact:
+    """num/den as an exact term: the int value when it is integral, else one
+    reduced Fraction."""
+    if den == 1:
+        return num
+    x = Fraction(num, den)
     return x.numerator if x.denominator == 1 else x
 
 
-def _parts(x: Exact) -> Tuple[int, int, bool]:
-    """(numerator, denominator, whether x is a Fraction) of an exact value."""
-    return x.numerator, x.denominator, not isinstance(x, int)
-
-
-def _exact(num: int, den: int, fraction: bool) -> Exact:
-    """num/den typed as the Fraction arithmetic on the same operands would
-    type it: one reduced Fraction when some operand was a Fraction, else the
-    int ``num`` (``den`` is then 1)."""
-    return Fraction(num, den) if fraction else num
+def _reduced(value: Rational) -> Exact:
+    """``value`` as an exact term, typed as ``_exact`` types one; an int is
+    kept as it is."""
+    if type(value) is int:
+        return value
+    x = as_fraction(value)
+    return x.numerator if x.denominator == 1 else x
 
 
 class PartialTerm(NamedTuple):
@@ -109,7 +102,7 @@ class PartialTerm(NamedTuple):
 
 
 def term(numerator: Rational, denominator: Rational) -> PartialTerm:
-    return PartialTerm(_as_exact(numerator), _as_exact(denominator))
+    return PartialTerm(_reduced(numerator), _reduced(denominator))
 
 
 TermRule = Callable[[int], Optional[Tuple[Rational, Rational]]]
@@ -199,7 +192,7 @@ class TermSpec:
         object.__setattr__(self, "a", Poly.lift(self.a))
 
     def exact_terms(self) -> Iterator[PartialTerm]:
-        """The exact stream; a polynomial with ``den`` 1 gives plain ints."""
+        """The exact stream, each value an int when it is integral."""
         yield from self.head
         nb, db, na, da = self.b.ints, self.b.den, self.a.ints, self.a.den
         for k in itertools.count(len(self.head) + 1):
@@ -208,7 +201,7 @@ class TermSpec:
                 n = n * k + c
             for c in na:
                 m = m * k + c
-            yield PartialTerm(n if db == 1 else Fraction(n, db), m if da == 1 else Fraction(m, da))
+            yield PartialTerm(n if db == 1 else _exact(n, db), m if da == 1 else _exact(m, da))
 
 
 # chunk sizes and the float64 exactness bound of _spec_chunks
@@ -469,9 +462,11 @@ def convergent_sequence(cf: ContinuedFraction, k: int) -> list[Convergent]:
 def euler_series_expansion(cf: ContinuedFraction, k: int) -> list[Fraction]:
     """Expand into the equivalent alternating series.
 
-    Returns the first ``k`` series terms t_j = (-1)^{j+1} (prod_{i<=j} b_i) /
-    (q_{j-1} q_j); the leading term of the fraction is not included.  Partial
-    sums of ``leading + t_1 + ... + t_j`` equal the convergents exactly.
+    Returns the first ``k`` series terms t_j = v_j - v_{j-1}, read off the
+    convergents of ``convergent_iter`` with v_0 = ``cf.leading``; the leading
+    term itself is not included.  By the determinant formula
+    t_j = (-1)^{j+1} (prod_{i<=j} b_i) / (q_{j-1} q_j), and partial sums of
+    ``leading + t_1 + ... + t_j`` equal the convergents exactly.
 
     Raises ``ZeroContinuantError`` if some q_j vanishes before ``k`` terms are
     produced (the expansion stops at that point; terms already produced are
@@ -480,15 +475,13 @@ def euler_series_expansion(cf: ContinuedFraction, k: int) -> list[Fraction]:
     if k < 1:
         raise ValueError("k must be positive")
     out: list[Fraction] = []
-    q_prev, q = Fraction(0), Fraction(1)  # q_{-1}, q_0
-    prod = Fraction(-1)  # (-1)^{j+1} prod_{i<=j} b_i after term j
-    for j, t in enumerate(itertools.islice(cf.terms(), k), start=1):
-        q_next = t.denominator * q + t.numerator * q_prev
-        prod *= -t.numerator
-        if q_next == 0:
-            raise ZeroContinuantError(j, out)
-        out.append(prod / (q * q_next))
-        q_prev, q = q, q_next
+    v_prev = cf.leading
+    for c in itertools.islice(convergent_iter(cf), k):
+        if not c.defined:
+            raise ZeroContinuantError(c.index, out)
+        v = c.value
+        out.append(v - v_prev)
+        v_prev = v
     return out
 
 
@@ -504,8 +497,8 @@ def even_contraction(cf: ContinuedFraction) -> ContinuedFraction:
     The equality is exact (rational identity).  The loop keeps r = b_{2k}/a_{2k}
     and s = 1/a_{2k} of the last even term, as integers over one denominator,
     and builds each contracted term from the integer numerators and
-    denominators of the terms with one reduced ``Fraction``, typed as the
-    identity's Fraction arithmetic would type it.  It seeds r = -1 and s = 0, which
+    denominators of the terms with ``_exact``: an int when it is integral,
+    else one reduced ``Fraction``.  It seeds r = -1 and s = 0, which
     makes the first term (b_1 a_2, a_1 a_2 + b_2) an instance of the general
     one.  A finite fraction of odd length gets one closing term (-b r, a + b s)
     from its last term (b, a), so the contracted value matches the original
@@ -518,29 +511,25 @@ def even_contraction(cf: ContinuedFraction) -> ContinuedFraction:
 
     def factory() -> Iterator[PartialTerm]:
         it = cf.terms()
-        # r = rn/d and s = sn/d in ints; frac says whether the Fraction
-        # arithmetic of the identity above would hold them as Fractions
-        rn, sn, d, frac = -1, 0, 1, False
+        rn, sn, d = -1, 0, 1  # r = rn/d and s = sn/d
         for depth, (b_odd, a_odd) in enumerate(it, start=1):  # original index 2k+1
-            bon, bod, bof = _parts(b_odd)
-            aon, aod, aof = _parts(a_odd)
+            bon, bod = b_odd.numerator, b_odd.denominator
+            aon, aod = a_odd.numerator, a_odd.denominator
             # u/w = a_{2k+1} + b_{2k+1} s
             u, w = aon * bod * d + bon * sn * aod, aod * bod * d
             t_even = next(it, None)  # original index 2k+2
             if t_even is None:
                 # odd tail: close so the last contracted convergent is v_{2k+1}
-                yield PartialTerm(_exact(-bon * rn, bod * d, frac or bof),
-                                  _exact(u, w, frac or bof or aof))
+                yield PartialTerm(_exact(-bon * rn, bod * d), _exact(u, w))
                 return
             b_even, a_even = t_even
             if a_even == 0:
                 raise ContractionError(depth)
-            ben, bed, bef = _parts(b_even)
-            aen, aed, aef = _parts(a_even)
-            yield PartialTerm(_exact(-aen * bon * rn, aed * bod * d, frac or aef or bof),
-                              _exact(aen * u * bed + ben * aed * w, aed * w * bed,
-                                     frac or aef or aof or bof or bef))
-            rn, sn, d, frac = ben * aed, aed * bed, bed * aen, True
+            ben, bed = b_even.numerator, b_even.denominator
+            aen, aed = a_even.numerator, a_even.denominator
+            yield PartialTerm(_exact(-aen * bon * rn, aed * bod * d),
+                              _exact(aen * u * bed + ben * aed * w, aed * w * bed))
+            rn, sn, d = ben * aed, aed * bed, bed * aen
 
     return ContinuedFraction(cf.leading, factory)
 

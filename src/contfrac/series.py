@@ -14,12 +14,12 @@ for log 2; denominators 1,3,5,7,... gives Brouncker's fraction for pi/4.
 
 A ``SeriesSpec`` is one stream of exact pairs (n_j, d_j).  The transform reads
 it once, in order: term k of the fraction needs pairs 0..k-1 only.  It works
-on the integer numerators and denominators of n_j and d_j and makes one
-reduced ``Fraction`` per partial term.  A pivot n_{j-1} d_j - n_j d_{j-1} is a
-partial denominator and may be zero; every continuant q_k is a product of
-series numerators and denominators (see ``series_to_cf``), so the transform
-stops only at the first zero n_j or d_j, with ``ZeroPivotError``; the terms
-made before it stand as a partial result.
+on the integer numerators and denominators of n_j and d_j and makes each
+partial term an int when it is integral, else one reduced ``Fraction``.  A
+pivot n_{j-1} d_j - n_j d_{j-1} is a partial denominator and may be zero;
+every continuant q_k is a product of series numerators and denominators (see
+``series_to_cf``), so the transform stops only at the first zero n_j or d_j,
+with ``ZeroPivotError``; the terms made before it stand as a partial result.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, Tuple
 
-from .core import (ContinuedFraction, ContinuedFractionError, PartialTerm, Rational, _exact, _parts,
-                   as_fraction, term)
+from .core import ContinuedFraction, ContinuedFractionError, PartialTerm, Rational, _exact, as_fraction, term
 
 
 class ZeroPivotError(ContinuedFractionError):
@@ -117,9 +116,8 @@ def series_to_cf(series: SeriesSpec) -> ContinuedFraction:
     Requires at least two series terms.  A zero series term (n_j = 0 or
     d_j = 0) stops the conversion at depth j + 1 (``ZeroPivotError``);
     terms already generated stand as a partial result.  Each term is built
-    from the integer numerators and denominators of n_j and d_j as one
-    reduced ``Fraction``, or as an int when every value it is made of is an
-    int.
+    from the integer numerators and denominators of n_j and d_j with
+    ``_exact``: an int when it is integral, else one reduced ``Fraction``.
     """
     if len(list(itertools.islice(series.pairs(), 2))) < 2:
         raise ValueError("series_to_cf needs at least two series terms")
@@ -130,23 +128,19 @@ def series_to_cf(series: SeriesSpec) -> ContinuedFraction:
         if not (n and d):
             raise ZeroPivotError(1)
         yield term(n, d)
-        # n_{k-3}, n_{k-2}, d_{k-2} as (numerator, denominator, is a Fraction);
+        # n_{k-3}, n_{k-2}, d_{k-2} as numerator and denominator;
         # n_{-1} = 1 makes term 2 an instance of the general term
-        n3n, n3d, n3f = 1, 1, False
-        n2n, n2d, n2f = _parts(n)
-        d2n, d2d, d2f = _parts(d)
+        n3n, n3d = 1, 1
+        n2n, n2d, d2n, d2d = n.numerator, n.denominator, d.numerator, d.denominator
         for depth, (n, d) in enumerate(it, 2):
             if not (n and d):
                 raise ZeroPivotError(depth)
-            n1n, n1d, n1f = _parts(n)
-            d1n, d1d, d1f = _parts(d)
-            yield PartialTerm(
-                _exact(n3n * n1n * d2n * d2n, n3d * n1d * d2d * d2d, n3f or n1f or d2f),
-                _exact(n2n * d1n * n1d * d2d - n1n * d2n * n2d * d1d, n2d * d1d * n1d * d2d,
-                       n2f or d1f or n1f or d2f))
-            n3n, n3d, n3f = n2n, n2d, n2f
-            n2n, n2d, n2f = n1n, n1d, n1f
-            d2n, d2d, d2f = d1n, d1d, d1f
+            n1n, n1d, d1n, d1d = n.numerator, n.denominator, d.numerator, d.denominator
+            yield PartialTerm(_exact(n3n * n1n * d2n * d2n, n3d * n1d * d2d * d2d),
+                              _exact(n2n * d1n * n1d * d2d - n1n * d2n * n2d * d1d,
+                                     n2d * d1d * n1d * d2d))
+            n3n, n3d = n2n, n2d
+            n2n, n2d, d2n, d2d = n1n, n1d, d1n, d1d
 
     return ContinuedFraction(Fraction(0), factory)
 

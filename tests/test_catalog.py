@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -330,6 +331,24 @@ def test_verify_flags_convergents_undefined_at_every_other_index_as_divergent():
     rep = verify(IdentityCase("F8", params))
     assert rep.status is VerifyStatus.DIVERGENT and rep.eval_status is EvalStatus.DIVERGENT
     assert rep.terms_used == 24 and rep.value == 0.0
+
+
+def test_verify_fails_when_dual_references_disagree(monkeypatch):
+    params = {"f": F(3, 2), "h": F(5, 2), "r": F(1)}
+    v = reference_value("F5", params)[0]
+    monkeypatch.setitem(catalog.FAMILIES, "F5", dataclasses.replace(
+        catalog.FAMILIES["F5"], refs=lambda P: (v, v + 1e-6)))
+    rep = verify(IdentityCase("F5", params))
+    assert rep.status is VerifyStatus.FAIL
+    assert rep.detail == "dual references disagree by 1.000e-06"
+
+
+def test_verify_fails_when_the_reference_is_outside_the_bracket(monkeypatch):
+    monkeypatch.setitem(catalog.FAMILIES, "brouncker", dataclasses.replace(
+        catalog.FAMILIES["brouncker"], refs=lambda P: (0.7,)))
+    rep = verify(IdentityCase("brouncker", {}))
+    assert rep.lower is not None and not rep.lower <= 0.7 <= rep.upper
+    assert rep.status is VerifyStatus.FAIL and rep.detail == "reference outside bracket"
 
 
 def test_make_cf_rejects_unknown_family():

@@ -145,6 +145,24 @@ def test_convert_series_to_cf_log2(capsys):
     assert rows == [["1", "1"], ["1", "1"], ["4", "1"], ["9", "1"]]
 
 
+def test_convert_series_to_cf_json_prints_integral_terms_as_ints(capsys):
+    code, out, _ = run(capsys, "convert", "series-to-cf", "--numerators", "1,1,1",
+                       "--denominators", "1,2,3", "--json")
+    assert code == EX_OK
+    assert out == ('[{"numerator": 1, "denominator": 1}, {"numerator": 1, "denominator": 1}, '
+                   '{"numerator": 4, "denominator": 1}]\n')
+
+
+def test_convert_series_to_cf_json_prints_rational_terms_as_strings(capsys):
+    # 1/2 - (1/3)/(2/3) + (2/5)/3: a_2 is the zero pivot n_0 d_1 - n_1 d_0
+    code, out, _ = run(capsys, "convert", "series-to-cf", "--numerators", "1/2,1/3,2/5",
+                       "--denominators", "1,2/3,3", "--json")
+    assert code == EX_OK
+    assert json.loads(out) == [{"numerator": "1/2", "denominator": 1},
+                               {"numerator": "1/3", "denominator": 0},
+                               {"numerator": "4/45", "denominator": "11/15"}]
+
+
 def test_convert_cf_to_series_brouncker(capsys):
     code, out, _ = run(capsys, "convert", "cf-to-series", "--family", "brouncker",
                        "--depth", "3")
@@ -499,6 +517,24 @@ def test_riccati_json_spent_depth_budget_is_inconclusive(capsys):
     assert code == EX_BUDGET and payload["abs_error"] <= 1e-8
     assert payload["eval_status"] == "budget-exhausted"
     assert payload["verdict"] == "inconclusive"
+
+
+# the fraction's differences stop contracting: eval_float flags it divergent
+DIVERGENT_RICCATI = ("riccati", "--a", "33/4", "--b", "-17/2", "--c", "1", "--m", "-7/4",
+                     "--depth", "2000")
+
+
+def test_riccati_flagged_divergence_is_divergent_exit_3(capsys):
+    code, out, _ = run(capsys, *DIVERGENT_RICCATI)
+    assert code == EX_DIVERGENT
+    assert "status     divergent-flagged\n" in out and "verdict    divergent\n" in out
+
+
+def test_riccati_json_flagged_divergence_is_divergent_exit_3(capsys):
+    code, out, _ = run(capsys, *DIVERGENT_RICCATI, "--json")
+    payload = json.loads(out)
+    assert code == EX_DIVERGENT
+    assert payload["eval_status"] == "divergent-flagged" and payload["verdict"] == "divergent"
 
 
 def test_riccati_zero_depth_and_nan_tolerance_are_usage_errors(capsys):

@@ -2,10 +2,12 @@
 
 ``convergent_iter``, ``even_contraction`` and ``series_to_cf`` run on integer
 numerators and denominators and reduce a value once.  Each must give what
-the straightforward ``Fraction`` recurrence gives, value for value and type
-for type: an ``int`` where that loop makes an ``int``, a ``Fraction`` where
-it makes a ``Fraction``.  The reference loops below are written out in
-``Fraction`` arithmetic; the series one stops only at a zero series term.
+the straightforward ``Fraction`` recurrence gives, value for value.  A term
+the library makes has one type rule: an ``int`` when its value is integral,
+else a reduced ``Fraction``; a convergent's p, q and value, and a series
+term of ``euler_series_expansion``, are ``Fraction`` values.  The reference
+loops below are written out in ``Fraction`` arithmetic; the series one stops
+only at a zero series term.
 """
 
 import itertools
@@ -20,6 +22,8 @@ from contfrac.core import (
     ContractionError,
     Convergent,
     PartialTerm,
+    Poly,
+    TermSpec,
     ZeroContinuantError,
     convergent_iter,
     euler_series_expansion,
@@ -91,8 +95,13 @@ def same(x, y):
     return x == y and type(x) is type(y)
 
 
+def typed(x):
+    """``x`` as the exact layer types a term: an int when integral, else a Fraction."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def same_pairs(got, want):
-    return len(got) == len(want) and all(same(gb, wb) and same(ga, wa)
+    return len(got) == len(want) and all(same(gb, typed(wb)) and same(ga, typed(wa))
                                          for (gb, ga), (wb, wa) in zip(got, want))
 
 
@@ -184,6 +193,52 @@ def test_euler_series_matches_the_fraction_loop(leading, terms, k):
         assert exc_info.value.index == index
         got = exc_info.value.partial
     assert len(got) == len(want) and all(same(x, y) for x, y in zip(got, want))
+
+
+def drain(stream, limit=60):
+    """Terms of ``stream`` up to ``limit``, or up to the error that ends it."""
+    out = []
+    try:
+        for t in itertools.islice(stream, limit):
+            out.append(t)
+    except (ContractionError, ZeroPivotError):
+        pass
+    return out
+
+
+def assert_one_type_rule(terms):
+    for t in terms:
+        assert all(same(x, typed(x)) for x in t), t
+
+
+# integer polynomials (den 1) and rational ones in the term index
+polys = st.builds(Poly, st.lists(ints, min_size=1, max_size=3).map(tuple),
+                  st.integers(min_value=1, max_value=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(leadings, term_lists, series_pairs, polys, polys)
+def test_every_exact_term_is_an_int_exactly_when_integral(leading, terms, pairs, b, a):
+    spec = TermSpec(leading, tuple(terms[:4]), b, a)  # head terms, then b(k) and a(k)
+    for cf in (ContinuedFraction.from_pairs(leading, terms),
+               ContinuedFraction.from_rule(leading, dict(enumerate(terms, 1)).get),
+               ContinuedFraction.from_spec(spec),
+               even_contraction(raw_cf(leading, terms)),
+               series_to_cf(SeriesSpec(lambda: iter(pairs)))):
+        assert_one_type_rule(drain(cf.terms()))
+
+
+def test_integral_terms_are_ints_where_they_were_fractions():
+    spec = TermSpec(0, ((F(6, 3), F(1, 2)),), Poly((1, 0), 2), Poly((3,)))  # b(k) = k/2, a(k) = 3
+    for cf, want in [
+        (ContinuedFraction.from_pairs(0, [(F(4), 2)]), [(4, 2)]),
+        (series_to_cf(SeriesSpec.from_lists([1, 1, 1], [1, 2, 3])), [(1, 1), (1, 1), (4, 1)]),
+        (even_contraction(ContinuedFraction.from_pairs(0, [(1, 1)] * 6)), [(1, 2), (-1, 3), (-1, 3)]),
+        (ContinuedFraction.from_spec(spec), [(2, F(1, 2)), (1, 3), (F(3, 2), 3), (2, 3)]),
+    ]:
+        got = cf.take(len(want))
+        assert got == want
+        assert_one_type_rule(got)
 
 
 def test_convergent_keeps_its_public_face():
