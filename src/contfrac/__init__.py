@@ -13,6 +13,7 @@ from .core import (
     Convergent,
     EvalReport,
     EvalStatus,
+    EvalStop,
     PartialTerm,
     PositivityClass,
     TermUnderflowError,

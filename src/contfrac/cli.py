@@ -206,6 +206,8 @@ def _cmd_eval(args) -> int:
             "upper": rep.upper,
             "terms": rep.terms_used,
             "status": rep.status.value,
+            "stop": rep.stop.value,
+            "renorms": rep.renorms,
             "reference": refs[0] if len(refs) == 1 else list(refs),
         }
         if exact is not None:
@@ -222,6 +224,8 @@ def _cmd_eval(args) -> int:
         print(f"reference {'  '.join(_fmt(r) for r in refs)}")
         print(f"terms    {rep.terms_used}")
         print(f"status   {rep.status.value}")
+        print(f"stop     {rep.stop.value}")
+        print(f"renorms  {rep.renorms}")
         if exact is not None:
             with _unlimited_int_digits():
                 for c in exact:

@@ -573,16 +573,32 @@ class EvalStatus(str, Enum):
     TERMINATED_FINITE = "terminated-finite"
 
 
+class EvalStop(str, Enum):
+    """Why ``eval_float`` stopped: the test that ended it, or the end of the
+    terms it read."""
+
+    BRACKET = "bracket"                      # all-positive bracket width <= tol
+    DIFFERENCE = "difference"                # two signed differences <= tol
+    DIVERGENCE_WINDOW = "divergence-window"  # differences never contracted
+    BUDGET = "budget"                        # max_terms terms read
+    ZERO_NUMERATOR = "zero-numerator"        # a zero b_k ended the fraction
+    STREAM_END = "stream-end"                # a finite term stream ran out
+
+
 @dataclass(frozen=True)
 class EvalReport:
     """Floating-point evaluation outcome; lower/upper form a rigorous bracket
-    only when every partial term seen was positive."""
+    only when every partial term seen was positive.  ``stop`` says why the
+    evaluation stopped (None on a report not made by ``eval_float``) and
+    ``renorms`` counts its rescalings of the recurrence state."""
 
     value: float
     lower: Optional[float]
     upper: Optional[float]
     terms_used: int
     status: EvalStatus
+    stop: Optional[EvalStop] = None
+    renorms: int = 0
 
 
 # Continuants grow geometrically; rescale all four recurrence state variables
@@ -613,28 +629,37 @@ def _estimate(lead: float, v_pp: Optional[float], v_prev: Optional[float]):
 def eval_float(cf: ContinuedFraction, tol: float, max_terms: int) -> EvalReport:
     """Evaluate in floating point with renormalised forward recurrences.
 
-    Stopping rules, in order of preference:
+    Two loops run over one stream of float terms, and control passes from
+    the first to the second at most once:
 
-    * all partial terms positive so far: consecutive convergents bracket the
-      limit; stop once the bracket width is <= tol and report lower/upper.
-    * otherwise: stop when |v_k - v_{k-1}| <= tol on two successive defined
-      steps; no bracket is reported.  If the successive differences are
-      non-contracting over a trailing window the evaluation is flagged
-      divergent.
+    * the positive loop, while every partial term is positive: consecutive
+      convergents bracket the limit; stop once the bracket width is <= tol
+      (``stop`` ``bracket``) and report lower/upper.
+    * the signed loop, from the first term that is not positive to the end:
+      stop when |v_k - v_{k-1}| <= tol on two successive defined steps
+      (``difference``); no bracket is reported.  If the successive
+      differences are non-contracting over a trailing window the evaluation
+      is flagged divergent (``divergence-window``).
 
-    A zero partial numerator terminates the fraction exactly; exhausting the
-    term stream reports the final convergent.  A zero partial denominator is
-    a legal term, which is not positive.  The recurrence continues through an
-    undefined convergent (q_k = 0); on the signed path it counts as infinite,
-    so the differences on both sides of it are neither small nor contracting,
-    and the value reported is the last defined convergent.
+    Both loops make the same float operations and the same rescaling
+    decisions; the positive loop only tests less, because its terms are
+    positive.  A zero partial numerator terminates the fraction exactly
+    (``zero-numerator``); running out of terms reports the final convergent
+    (``stream-end``), or the bracket or estimate so far once ``max_terms``
+    terms are read (``budget``).  A zero partial denominator is a legal
+    term, which is not positive.  The recurrence continues through an
+    undefined convergent (q_k = 0); the positive loop skips it, and the
+    signed loop counts it as infinite, so the differences on both sides of
+    it are neither small nor contracting, and the value reported is the last
+    defined convergent.  ``renorms`` counts the rescalings of p, q and their
+    predecessors by 2^512 or 2^-512.
 
     Float terms arrive in chunks: from ``_spec_chunks`` for a fraction with
     a ``TermSpec``, else from the exact stream one term at a time.  Both give
     ``float()`` of every exact term.  A term that overflows or underflows
-    raises at its own index once the loop reaches it, and a zero numerator
-    raises a private exception that this loop catches to report the fraction
-    finite.
+    raises at its own index once a loop reaches it, and a zero numerator
+    raises a private exception that this function catches to report the
+    fraction finite.
     """
     check_tolerance(tol)
     if max_terms < 1:
@@ -643,93 +668,135 @@ def eval_float(cf: ContinuedFraction, tol: float, max_terms: int) -> EvalReport:
     lead = float(cf.leading)
     p_prev, q_prev = 1.0, 0.0
     p, q = lead, 1.0
-    positive = True
     # the last two defined convergents (v_0 = leading does not count); only
-    # v_prev is kept once a term is not positive
+    # v_prev is kept in the signed loop
     v_pp: Optional[float] = None
     v_prev: Optional[float] = None
-    value = lead                     # the estimate, kept only once a term is not positive
-    # signed stopping: small_streak counts differences |v - v_prev| <= tol in
-    # a row; d_last is the last difference above tol, and rising counts the
-    # differences in a row since the last small one that did not shrink, so
-    # rising >= _DIVERGENCE_WINDOW - 1 says the last _DIVERGENCE_WINDOW
-    # differences never contracted
-    small_streak = 0
-    d_last: Optional[float] = None
-    rising = 0
     big, small = _RENORM_LIMIT, _RENORM_SCALE
     nbig, nsmall, ntol = -big, -small, -tol  # negated once, not on every term
+    # the positive loop's bound on q; -1.0, which no q meets, sends term 1 to
+    # the full range test when |leading| > 2^512, since leading is p_prev there
+    q_cap = big if nbig <= lead <= big else -1.0
+    renorms = 0
+    positive = True
 
     if cf.spec is not None:
         source = _spec_chunks(cf.spec, max_terms)
-    else:
-        source = (_checked_floats(itertools.islice(cf.factory(), max_terms)),)
+    else:  # an iterator, which the signed loop goes on reading where the positive loop left it
+        source = iter((_checked_floats(itertools.islice(cf.factory(), max_terms)),))
     k = 0
     try:
         for chunk in source:
             for b, a in chunk:
-                k += 1
-                if positive and (b <= 0.0 or a <= 0.0):
+                if b <= 0.0 or a <= 0.0:
                     positive = False
-                    value = _estimate(lead, v_pp, v_prev)[0]
+                    break
+                k += 1
                 p, p_prev = a * p + b * p_prev, p
                 q, q_prev = a * q + b * q_prev, q
-                # with |p| in [small, big] and the rest within big, max(...) below
-                # takes neither branch; testing that first skips five calls (NaN
-                # fails every comparison here and gets the full test)
-                if not ((small <= p <= big or nbig <= p <= nsmall) and nbig <= q <= big
-                        and nbig <= p_prev <= big and nbig <= q_prev <= big):
+                # the signed loop's range test, less two pairs of comparisons:
+                # p_prev and q_prev need none, because the step before left
+                # them in [-2^512, 2^512] unless one is not finite (q_cap
+                # covers term 1), and a and b are finite and nonzero, so a
+                # non-finite p_prev or q_prev makes p or q non-finite, which
+                # fails this test.  q >= 0 here, and q = 0 takes the full test
+                if not ((small <= p <= big or nbig <= p <= nsmall) and 0.0 < q <= q_cap):
+                    q_cap = big
                     mag = max(abs(p), abs(q), abs(p_prev), abs(q_prev))
                     if mag > big:
                         p *= small
                         q *= small
                         p_prev *= small
                         q_prev *= small
+                        renorms += 1
                     elif 0.0 < mag < small:
                         p *= big
                         q *= big
                         p_prev *= big
                         q_prev *= big
-                if q == 0.0:
-                    if positive:
+                        renorms += 1
+                    if q == 0.0:
                         continue  # undefined convergent, skip
-                    # on the signed path an undefined convergent is infinite
-                    # (Jones & Thron 1980, ch. 2), and so are the differences
-                    # on both sides of it; value keeps the last defined one
-                    v = math.inf
-                else:
-                    v = p / q
-                    if positive:
-                        # |v - v_prev| <= tol, which is the bracket width
-                        if v_prev is not None and ntol <= v - v_prev <= tol:
-                            return EvalReport(*_estimate(lead, v_prev, v), k, EvalStatus.CONVERGED)
-                        v_pp, v_prev = v_prev, v
-                        continue
-                    value = v
-                if v_prev is not None:
-                    d = abs(v - v_prev)
-                    if d <= tol:
-                        small_streak += 1
-                        d_last, rising = None, 0
-                        if small_streak >= 2:
-                            return EvalReport(v, None, None, k, EvalStatus.CONVERGED)
+                v = p / q
+                # |v - v_prev| <= tol, which is the bracket width
+                if v_prev is not None and ntol <= v - v_prev <= tol:
+                    return EvalReport(*_estimate(lead, v_prev, v), k, EvalStatus.CONVERGED,
+                                      EvalStop.BRACKET, renorms)
+                v_pp, v_prev = v_prev, v
+            if not positive:
+                break
+        if not positive:
+            # (b, a) is the first term that is not positive; it and the rest
+            # of its chunk start the signed loop
+            value = _estimate(lead, v_pp, v_prev)[0]
+            # signed stopping: small_streak counts differences |v - v_prev| <=
+            # tol in a row; d_last is the last difference above tol, and
+            # rising counts the differences in a row since the last small one
+            # that did not shrink, so rising >= _DIVERGENCE_WINDOW - 1 says the
+            # last _DIVERGENCE_WINDOW differences never contracted
+            small_streak = 0
+            d_last: Optional[float] = None
+            rising = 0
+            for chunk in itertools.chain((itertools.chain(((b, a),), chunk),), source):
+                for b, a in chunk:
+                    k += 1
+                    p, p_prev = a * p + b * p_prev, p
+                    q, q_prev = a * q + b * q_prev, q
+                    # with |p| in [small, big] and the rest within big, max(...)
+                    # below takes neither branch; testing that first skips five
+                    # calls (NaN fails every comparison here and gets the full test)
+                    if not ((small <= p <= big or nbig <= p <= nsmall) and nbig <= q <= big
+                            and nbig <= p_prev <= big and nbig <= q_prev <= big):
+                        mag = max(abs(p), abs(q), abs(p_prev), abs(q_prev))
+                        if mag > big:
+                            p *= small
+                            q *= small
+                            p_prev *= small
+                            q_prev *= small
+                            renorms += 1
+                        elif 0.0 < mag < small:
+                            p *= big
+                            q *= big
+                            p_prev *= big
+                            q_prev *= big
+                            renorms += 1
+                    if q == 0.0:
+                        # an undefined convergent is infinite (Jones & Thron
+                        # 1980, ch. 2), and so are the differences on both
+                        # sides of it; value keeps the last defined one
+                        v = math.inf
                     else:
-                        small_streak = 0
-                        if d_last is not None and d >= d_last * (1.0 - 1e-12):
-                            rising += 1
+                        v = p / q
+                        value = v
+                    if v_prev is not None:
+                        d = abs(v - v_prev)
+                        if d <= tol:
+                            small_streak += 1
+                            d_last, rising = None, 0
+                            if small_streak >= 2:
+                                return EvalReport(v, None, None, k, EvalStatus.CONVERGED,
+                                                  EvalStop.DIFFERENCE, renorms)
                         else:
-                            rising = 0
-                        d_last = d
-                        if rising >= _DIVERGENCE_WINDOW - 1 and k >= 2 * _DIVERGENCE_WINDOW:
-                            return EvalReport(value, None, None, k, EvalStatus.DIVERGENT)
-                v_prev = v
+                            small_streak = 0
+                            if d_last is not None and d >= d_last * (1.0 - 1e-12):
+                                rising += 1
+                            else:
+                                rising = 0
+                            d_last = d
+                            if rising >= _DIVERGENCE_WINDOW - 1 and k >= 2 * _DIVERGENCE_WINDOW:
+                                return EvalReport(value, None, None, k, EvalStatus.DIVERGENT,
+                                                  EvalStop.DIVERGENCE_WINDOW, renorms)
+                    v_prev = v
     except _EndOfFraction:  # term k + 1 has a zero numerator
         k += 1
+        stop = EvalStop.ZERO_NUMERATOR
     else:
-        if k == max_terms:
-            if positive:
-                return EvalReport(*_estimate(lead, v_pp, v_prev), k, EvalStatus.BUDGET_EXHAUSTED)
-            return EvalReport(value, None, None, k, EvalStatus.BUDGET_EXHAUSTED)
+        stop = EvalStop.BUDGET if k == max_terms else EvalStop.STREAM_END
+    if stop is EvalStop.BUDGET:
+        if positive:
+            return EvalReport(*_estimate(lead, v_pp, v_prev), k, EvalStatus.BUDGET_EXHAUSTED,
+                              stop, renorms)
+        return EvalReport(value, None, None, k, EvalStatus.BUDGET_EXHAUSTED, stop, renorms)
     if positive:  # a finite fraction is its last convergent
         value = lead if v_prev is None else v_prev
-    return EvalReport(value, None, None, k, EvalStatus.TERMINATED_FINITE)
+    return EvalReport(value, None, None, k, EvalStatus.TERMINATED_FINITE, stop, renorms)

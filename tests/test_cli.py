@@ -51,6 +51,23 @@ def test_eval_e_euler_digits(capsys):
     assert payload["status"] == "converged"
 
 
+def test_eval_prints_its_stop_reason_and_rescalings(capsys):
+    args = ("eval", "--family", "brouncker", "--tol", "1e-4")
+    code, out, _ = run(capsys, *args)
+    assert code == EX_OK and "stop     bracket\n" in out and "renorms  115\n" in out
+    code, out, _ = run(capsys, *args, "--json")
+    payload = json.loads(out)
+    assert code == EX_OK and (payload["stop"], payload["renorms"]) == ("bracket", 115)
+    assert list(payload) == ["family", "params", "value", "lower", "upper", "terms",
+                             "status", "stop", "renorms", "reference"]
+
+
+def test_eval_json_names_a_signed_stop(capsys):
+    code, out, _ = run(capsys, "eval", "--family", "pi-half-b", "--tol", "1e-4", "--json")
+    payload = json.loads(out)
+    assert code == EX_OK and payload["stop"] == "difference" and payload["lower"] is None
+
+
 def test_eval_divergent_family_exits_3(capsys):
     code, out, _ = run(capsys, "eval", "--family", "F2", "--param", "mu=3",
                        "--param", "nu=1", "--param", "m=1", "--param", "n=1")

@@ -13,6 +13,7 @@ from contfrac.core import (
     ContinuedFraction,
     ContractionError,
     EvalStatus,
+    EvalStop,
     PositivityClass,
     TermSpec,
     ZeroContinuantError,
@@ -25,6 +26,7 @@ from contfrac.core import (
     positivity_class,
 )
 from conftest import rand_fraction, random_positive_cf
+from test_termspec import generic
 
 #: the first 10 even-contraction terms (or the error that ends them early) of
 #: 200 seeded signed rational fractions of length 0-9 and of every catalog
@@ -155,10 +157,10 @@ def test_eval_renormalization_survives_huge_continuants():
     assert rep.lower <= math.pi / 4 <= rep.upper
 
 
-def reference_convergents(leading, pairs):
-    """Float convergents (None where q_k = 0), renormalised by max(abs(...)) alone."""
+def plain_recurrence(leading, pairs):
+    """(float convergent, or None where q_k = 0; whether the step rescaled)
+    for each term, renormalised by max(abs(...)) alone."""
     p_prev, q_prev, p, q = 1.0, 0.0, float(leading), 1.0
-    out = []
     for b, a in pairs:
         b, a = float(b), float(a)
         p, p_prev = a * p + b * p_prev, p
@@ -166,8 +168,11 @@ def reference_convergents(leading, pairs):
         mag = max(abs(p), abs(q), abs(p_prev), abs(q_prev))
         scale = 2.0 ** -512 if mag > 2.0 ** 512 else 2.0 ** 512 if 0.0 < mag < 2.0 ** -512 else 1.0
         p, q, p_prev, q_prev = p * scale, q * scale, p_prev * scale, q_prev * scale
-        out.append(p / q if q != 0.0 else None)
-    return out
+        yield (p / q if q != 0.0 else None), scale != 1.0
+
+
+def reference_convergents(leading, pairs):
+    return [v for v, _ in plain_recurrence(leading, pairs)]
 
 
 # runs of terms near 2^e, e in [-400, 400], push the continuants far past
@@ -211,6 +216,44 @@ def test_eval_skips_vanishing_continuants_projectively():
     rep = eval_float(cf, 1e-12, 100)
     assert rep.status is EvalStatus.TERMINATED_FINITE
     assert rep.value == pytest.approx(float(exact), abs=1e-15)
+
+
+ZERO_NUMERATOR_PAIRS = ((1, 2), (3, 1), (0, 5), (1, 1))
+F8_DIVERGENT = make_cf("F8", {"a": F(3, 4), "b": F(9, 4), "c": 2, "r": F(1, 2),
+                              "p": F(5, 4), "q": F(15, 16)})
+
+
+@pytest.mark.parametrize("forms, tol, n, stop, status", [
+    ((make_cf("brouncker", {}), generic(make_cf("brouncker", {}))), 1e-4, 10 ** 6,
+     EvalStop.BRACKET, EvalStatus.CONVERGED),
+    ((make_cf("pi-half-b", {}), generic(make_cf("pi-half-b", {}))), 1e-4, 10 ** 6,
+     EvalStop.DIFFERENCE, EvalStatus.CONVERGED),
+    ((F8_DIVERGENT, generic(F8_DIVERGENT)), 1e-9, 10 ** 5,
+     EvalStop.DIVERGENCE_WINDOW, EvalStatus.DIVERGENT),
+    ((make_cf("log2", {}), generic(make_cf("log2", {}))), 1e-4, 16,
+     EvalStop.BUDGET, EvalStatus.BUDGET_EXHAUSTED),
+    ((ContinuedFraction.from_pairs(1, ZERO_NUMERATOR_PAIRS),
+      ContinuedFraction.from_spec(TermSpec(1, ZERO_NUMERATOR_PAIRS[:3], 1, 1))), 1e-9, 100,
+     EvalStop.ZERO_NUMERATOR, EvalStatus.TERMINATED_FINITE),
+    # a TermSpec stream never ends, so this fraction has only the generic form
+    ((ContinuedFraction.from_pairs(1, [(1, 2), (3, 1)]),), 1e-9, 100,
+     EvalStop.STREAM_END, EvalStatus.TERMINATED_FINITE),
+], ids=["bracket", "difference", "divergence-window", "budget", "zero-numerator", "stream-end"])
+def test_eval_reports_why_it_stopped(forms, tol, n, stop, status):
+    reports = [eval_float(cf, tol, n) for cf in forms]
+    assert (reports[0].stop, reports[0].status) == (stop, status)
+    assert all(rep == reports[0] for rep in reports)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exponent_runs, st.lists(st.booleans(), min_size=60, max_size=60))
+def test_renorms_counts_the_rescalings_of_the_plain_test(exponents, negative):
+    # the plain test rescales where max(|p|, |q|, |p_prev|, |q_prev|) leaves
+    # [2^-512, 2^512]; both kernel loops decide the same, with signed terms too
+    pairs = [(-F(2) ** eb if neg else F(2) ** eb, F(2) ** ea)
+             for (eb, ea), neg in zip(exponents, negative)]
+    rep = eval_float(ContinuedFraction.from_pairs(1, pairs), 1e-300, len(pairs))
+    assert rep.renorms == sum(scaled for _, scaled in plain_recurrence(1, pairs[:rep.terms_used]))
 
 
 def test_eval_validates_arguments():
