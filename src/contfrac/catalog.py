@@ -56,6 +56,7 @@ from .core import (
     ContinuedFractionError,
     EvalReport,
     EvalStatus,
+    EvalStop,
     Rational,
     TermSpec,
     as_fraction,
@@ -477,6 +478,8 @@ class VerificationReport:
     abs_error: Optional[float] = None
     eval_status: Optional[EvalStatus] = None
     detail: str = ""
+    stop: Optional[EvalStop] = None
+    renorms: int = 0
 
     @property
     def passed(self) -> bool:
@@ -514,7 +517,8 @@ def verify(case: IdentityCase) -> VerificationReport:
 
     status, detail = _verdict(case, rep, refs)
     return VerificationReport(case, status, rep.value, rep.lower, rep.upper, rep.terms_used,
-                              refs, abs(rep.value - refs[0]), rep.status, detail)
+                              refs, abs(rep.value - refs[0]), rep.status, detail, rep.stop,
+                              rep.renorms)
 
 
 def _verdict(case: IdentityCase, rep: EvalReport,

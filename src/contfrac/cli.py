@@ -365,6 +365,8 @@ def report_line(rep: VerificationReport) -> dict:
         "terms": rep.terms_used,
         "status": rep.status.value,
         "eval_status": rep.eval_status.value if rep.eval_status is not None else None,
+        "stop": rep.stop.value if rep.stop is not None else None,
+        "renorms": rep.renorms,
         "detail": rep.detail,
     }
 
@@ -418,20 +420,26 @@ def _cmd_riccati(args) -> int:
             "cf_value": rep.cf_value,
             "ode_value": rep.ode_value,
             "abs_error": rep.abs_error,
+            "allowed": rep.allowed,
             "terms": rep.terms_used,
             "ode_steps": rep.ode_steps,
+            "ode_x0": rep.ode_x0,
             "ode_est_error": rep.ode_est_error,
             "terminated_depth": rep.terminated_depth,
             "eval_status": rep.eval_status.value,
+            "stop": rep.stop.value,
             "verdict": verdict,
         }))
     else:
         print(f"cf value   {_fmt(rep.cf_value)}")
         print(f"ode value  {_fmt(rep.ode_value)}")
+        print(f"ode x0     {_fmt(rep.ode_x0)}")
         print(f"abs error  {_fmt(rep.abs_error)}")
+        print(f"allowed    {_fmt(rep.allowed)} (tol * max(1, |ode value|))")
         if rep.terminated_depth is not None:
             print(f"terminates at depth {rep.terminated_depth}")
         print(f"status     {rep.eval_status.value}")
+        print(f"stop       {rep.stop.value}")
         print(f"verdict    {verdict}")
     return code
 

@@ -20,8 +20,11 @@ satisfies the ordinary equation
 
     x w' = w - w^2 - (a c + b w) x^(m+2),        w(0) = 1,
 
-from a small x0 (first-order series seed) to x = 1 with an adaptive embedded
-Runge-Kutta pair, giving an independent value to compare against the fraction.
+from x0 to x = 1 with an adaptive embedded Runge-Kutta pair, giving an
+independent value to compare against the fraction.  At x0, w is the
+Frobenius series of the linearised equation, summed in floats with a proven
+bound on its tails and rounding; x0 <= 1/2 is as large as the series' ratio
+test allows.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .core import (ContinuedFraction, EvalStatus, PartialTerm, as_fraction, check_tolerance,
-                   eval_float)
+from .core import (ContinuedFraction, EvalStatus, EvalStop, PartialTerm, as_fraction,
+                   check_tolerance, eval_float)
 
 
 class RiccatiDomainError(ValueError):
@@ -123,9 +126,13 @@ def riccati_letters(problem: RiccatiProblem, count: int) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class ODEResult:
+    """w(1); the accepted Cash-Karp steps from the start point ``x0``; and the
+    seed's error bound plus the summed local error estimates."""
+
     w_at_1: float
     steps: int
     est_error: float
+    x0: float
 
 
 # Cash-Karp 5(4) embedded pair.
@@ -160,7 +167,7 @@ def _integrate_ck(f, t0: float, t1: float, y0: float, loc_tol: float) -> tuple[f
     h = span / 64.0
     steps = 0
     err_acc = 0.0
-    h_min = 1e-13 * span
+    h_min = 1e-12  # in ln x: near a pole the steps shrink below it before |w| > 1e9
     while t < t1:
         if h > t1 - t:
             h = t1 - t
@@ -193,48 +200,153 @@ def _integrate_ck(f, t0: float, t1: float, y0: float, loc_tol: float) -> tuple[f
     return y, steps, err_acc
 
 
+# Cash-Karp takes a few steps per unit of ln x near w = 1, so a tiny m + 2,
+# whose series starts at ln x0 ~ ln(m+2)/(m+2), is refused past this span.
+_MAX_SPAN = 1e4
+
+
+def _max_ratio(ac: float, b: float, s: float) -> float:
+    """max over n >= 0 of rho_n = |ac + b(1+ns)| / ((n+1) s (1+(n+1)s)), the
+    series' coefficient ratio |c_(n+1)/c_n|.
+
+    With d = (n+1)s, rho_n <= (|ac+b|/d + |b|) / (1+d), which falls with n;
+    the loop stops at the first n where that bound is no larger than the
+    largest rho_k seen, so no later ratio can exceed it.
+    """
+    best, n, head = 0.0, 0, abs(ac + b)
+    while True:
+        d = (n + 1) * s
+        if (head / d + abs(b)) / (1.0 + d) <= best:
+            return best
+        best = max(best, abs(ac + b * (1.0 + n * s)) / (d * (1.0 + d)))
+        n += 1
+
+
+def _start(s: float, rho: float) -> tuple[float, float]:
+    """tau0 = ln x0 and z = x0^s at the default start point: the largest
+    x0 <= 1/2 with z max rho_n <= 1/4, found as ln z so that a tiny s cannot
+    underflow it."""
+    log_z = -s * math.log(2.0)
+    if rho > 0:
+        log_z = min(log_z, -math.log(4.0 * rho))
+    return log_z / s, math.exp(log_z)
+
+
+_U = 2.0 ** -53  # unit roundoff of a float
+
+
+def _series_seed(ac: float, b: float, s: float, z: float, r: float,
+                 tol: float) -> tuple[float, float]:
+    """w(x0) and a bound on its error, from the Frobenius series of
+    ``solve_riccati`` summed in floats at z = x0^s.
+
+    With t_n = c_n z^n, D = sum t_n and N = sum (1+ns) t_n, w = N/D.  Every
+    term ratio |t_(k+1)/t_k| is at most r = z max rho_n <= 1/4, so past term
+    n the tails of D and N are at most |t_n| q and
+    |t_n| ((1+ns) q + s q/(1-r)), q = r/(1-r); terms are added until both
+    are below tol * 1e-4.  The same bound gives D >= 1 - q >= 2/3, so the
+    error of w is at most (dN + |w| dD)/(1 - q), where dN and dD add to the
+    tails each term's propagated rounding error (20 roundings of the ratio's
+    absolute-value form a step, which covers ac + b(1+ns) cancelling) and
+    the rounding of the sums.
+    """
+    eps = tol * 1e-4
+    q = r / (1.0 - r)
+    t, e = 1.0, 0.0                 # t_n and a bound on its error
+    d_sum = n_sum = d_abs = n_abs = 1.0
+    d_err = n_err = 0.0
+    g, n = 1.0, 0                   # g = 1 + ns
+    while True:
+        den = (n + 1) * s
+        den *= 1.0 + den
+        e = r * e + 20 * _U * (abs(ac) + abs(b) * g) / den * z * abs(t)
+        t *= -(ac + b * g) / den * z
+        e += _U * abs(t)
+        n += 1
+        g = 1.0 + n * s
+        d_sum += t
+        n_sum += g * t
+        d_abs += abs(t)
+        n_abs += g * abs(t)
+        d_err += e
+        n_err += g * e
+        last = abs(t) + e
+        d_tail = last * q
+        n_tail = last * (g * q + s * q / (1.0 - r))
+        if d_tail <= eps and n_tail <= eps:
+            break
+    w = n_sum / d_sum
+    gamma = (n + 6) * _U            # the sums, and g rounded in each N term
+    d_bound = d_tail + d_err + gamma * d_abs
+    n_bound = n_tail + n_err + gamma * n_abs
+    return w, (n_bound + abs(w) * d_bound) / (1.0 - q) + 2 * _U * abs(w)
+
+
 def solve_riccati(problem: RiccatiProblem, tol: float,
                   x0: Optional[float] = None) -> ODEResult:
     """Integrate the regularised equation to x = 1.
 
-    In tau = log x the equation reads  dw/dtau = w - w^2 - (ac + b w) e^{(m+2) tau},
-    started at x0 with the series seed w(x0) = 1 - (ac+b) x0^{m+2}/(m+3)
-    (the leading correction of the fraction), local tolerance tol/10.
-    The seed is certified by the x0-halving invariance test.
+    In tau = log x the equation reads  dw/dtau = w - w^2 - (ac + b w) e^{s tau},
+    s = m + 2.  Near 0 it is started from the Frobenius series of the
+    linearised equation (see ``_series_seed``): with y = u'/(c u),
+    u'' + b x^(m+1) u' + ac x^m u = 0 has u = sum c_n x^(1+ns), c_0 = 1,
+    c_(n+1) = -c_n (ac + b(1+ns)) / ((n+1) s (1+(n+1)s)), and w = x u'/u.
+    The start point x0 is the largest x0 <= 1/2 with z = x0^s at most
+    1/(4 max rho_n), so u(x0)/x0 >= 2/3 (no pole below x0) and the series'
+    ratio test bounds its tails.  Cash-Karp then integrates from
+    tau0 = ln z / s (a tiny s cannot underflow x0) to 0 at local tolerance
+    tol/30.  An explicit ``x0`` in (0, 1) gets the same seed, and raises
+    ValueError when its z breaks the ratio bound.  ``est_error`` is the
+    seed's error bound plus the integrator's summed local error estimates.
     """
     check_tolerance(tol)
-    mp2 = float(problem.m) + 2.0
+    s = float(problem.m) + 2.0
     ac = float(problem.a * problem.c)
     b = float(problem.b)
+    rho = _max_ratio(ac, b, s)
     if x0 is None:
-        x0 = 1e-3
-        if mp2 < 1.0:
-            # keep the neglected second-order seed term ~ x0^{2(m+2)} below tol
-            x0 = min(x0, (0.01 * tol) ** (1.0 / (2.0 * mp2)))
-    if not 0 < x0 < 1:
-        raise ValueError("x0 must lie in (0, 1)")
-    w0 = 1.0 - (ac + b) * x0 ** mp2 / (mp2 + 1.0)
+        tau0, z = _start(s, rho)
+        if tau0 < -_MAX_SPAN:
+            raise RiccatiDomainError(
+                f"the series seed starts at ln x0 = {tau0:.3g} (m + 2 = {s:.3g}): "
+                f"more than {_MAX_SPAN:g} units of ln x to integrate")
+    else:
+        if not 0 < x0 < 1:
+            raise ValueError("x0 must lie in (0, 1)")
+        z = x0 ** s
+        if not z * rho <= 0.25:
+            raise ValueError(f"x0 = {x0!r} is past the series' ratio bound: "
+                             f"x0^(m+2) * max rho_n = {z * rho:.3g} > 1/4")
+        tau0 = math.log(x0)
+    w0, seed_error = _series_seed(ac, b, s, z, z * rho, tol)
 
     def rhs(tau: float, w: float) -> float:
-        return w - w * w - (ac + b * w) * math.exp(mp2 * tau)
+        return w - w * w - (ac + b * w) * math.exp(s * tau)
 
-    w1, steps, err = _integrate_ck(rhs, math.log(x0), 0.0, w0, tol / 10.0)
-    return ODEResult(w1, steps, err)
+    w1, steps, err = _integrate_ck(rhs, tau0, 0.0, w0, tol / 30.0)
+    return ODEResult(w1, steps, seed_error + err, math.exp(tau0))
 
 
 @dataclass(frozen=True)
 class RiccatiReport:
     """The fraction against the integrated equation.  ``passed`` needs both
     an evaluation that converged or ended finitely (``eval_status``) and an
-    ``abs_error`` within the tolerance: a fraction cut off by the depth
-    budget shows nothing, however close its last value is."""
+    ``abs_error`` = |cf - ode| within ``allowed`` = tol * max(1, |ode|): the
+    integrator controls each step's error relative to max(1, |w|), so the
+    comparison is absolute for |w| <= 1 and relative above.  A fraction cut
+    off by the depth budget shows nothing, however close its last value is.
+    ``stop`` is the evaluation's stop reason and ``ode_x0`` the point where
+    the integration starts from the series seed."""
 
     cf_value: float
     ode_value: float
     abs_error: float
+    allowed: float
     terms_used: int
     eval_status: EvalStatus
+    stop: EvalStop
     ode_steps: int
+    ode_x0: float
     ode_est_error: float
     passed: bool
     terminated_depth: Optional[int] = None
@@ -246,7 +358,9 @@ def verify_riccati(problem: RiccatiProblem, depth: int, tol: float) -> RiccatiRe
     rep = eval_float(cf, tol / 4.0, depth)
     ode = solve_riccati(problem, tol)
     err = abs(rep.value - ode.w_at_1)
+    allowed = tol * max(1.0, abs(ode.w_at_1))
     depth_term = (rep.terms_used if rep.status is EvalStatus.TERMINATED_FINITE else None)
     settled = rep.status in (EvalStatus.CONVERGED, EvalStatus.TERMINATED_FINITE)
-    return RiccatiReport(rep.value, ode.w_at_1, err, rep.terms_used, rep.status, ode.steps,
-                         ode.est_error, settled and err <= tol, depth_term)
+    return RiccatiReport(rep.value, ode.w_at_1, err, allowed, rep.terms_used, rep.status,
+                         rep.stop, ode.steps, ode.x0, ode.est_error,
+                         settled and err <= allowed, depth_term)

@@ -25,7 +25,7 @@ from contfrac.core import euler_series_expansion
 from contfrac.riccati import RiccatiProblem, solve_riccati
 
 REPORT_KEYS = {"family", "params", "value", "lower", "upper", "reference",
-               "abs_error", "terms", "status", "eval_status", "detail"}
+               "abs_error", "terms", "status", "eval_status", "stop", "renorms", "detail"}
 
 
 def run(capsys, *argv):
@@ -249,6 +249,15 @@ def test_verify_family_filter_emits_json_lines(capsys):
         assert set(record) == REPORT_KEYS
         assert record["family"] == "F3"
         assert record["status"] == "pass"
+
+
+def test_verify_line_carries_the_stop_reason_and_rescalings(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "brouncker")
+    assert code == EX_OK
+    record = json.loads(out)
+    assert {k: record[k] for k in ("status", "eval_status", "stop", "renorms", "terms")} == {
+        "status": "pass", "eval_status": "converged", "stop": "bracket", "renorms": 115,
+        "terms": 5001}
 
 
 def test_verify_unknown_family_filter_is_usage_error(capsys):
@@ -503,6 +512,32 @@ def test_riccati_json_reports_ode_error_estimate(capsys):
     assert code == EX_OK
     expected = solve_riccati(RiccatiProblem(1, F(1, 3), 1, 0), 1e-8).est_error
     assert json.loads(out)["ode_est_error"] == expected
+
+
+# |w(1)| = 231: the ODE is 5e-8 from the fraction, 2e-10 relative
+LARGE_RICCATI = ("riccati", "--a", "-9", "--b", "-10", "--c", "-2", "--m", "3/2")
+
+
+def test_riccati_large_value_passes_relative_to_its_size(capsys):
+    code, out, _ = run(capsys, *LARGE_RICCATI)
+    assert code == EX_OK
+    assert "verdict    pass\n" in out and "stop       difference\n" in out
+    assert "ode x0     0.5\n" in out and "(tol * max(1, |ode value|))" in out
+
+
+def test_riccati_json_line(capsys):
+    code, out, _ = run(capsys, *LARGE_RICCATI, "--json")
+    payload = json.loads(out)
+    assert code == EX_OK
+    assert set(payload) == {"cf_value", "ode_value", "abs_error", "allowed", "terms",
+                            "ode_steps", "ode_x0", "ode_est_error", "terminated_depth",
+                            "eval_status", "stop", "verdict"}
+    assert {k: payload[k] for k in ("terms", "ode_steps", "ode_x0", "terminated_depth",
+                                    "eval_status", "stop", "verdict")} == {
+        "terms": 20, "ode_steps": 510, "ode_x0": 0.5, "terminated_depth": None,
+        "eval_status": "converged", "stop": "difference", "verdict": "pass"}
+    assert payload["cf_value"] == -230.98709872167765
+    assert 1e-8 < payload["abs_error"] <= payload["allowed"] == 1e-8 * abs(payload["ode_value"])
 
 
 def test_riccati_out_of_scope_exponent_exit_64(capsys):

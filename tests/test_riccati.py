@@ -1,15 +1,22 @@
+import functools
 import json
 import math
 import pathlib
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contfrac.core import EvalStatus, convergent_sequence, equivalence_transform
+from contfrac.core import (EvalStatus, EvalStop, convergent_iter, convergent_sequence,
+                           equivalence_transform)
 from contfrac.riccati import (
     PoleEncounteredError,
     RiccatiDomainError,
     RiccatiProblem,
+    _max_ratio,
+    _series_seed,
+    _start,
     cf_from_riccati,
     riccati_letters,
     solve_riccati,
@@ -182,6 +189,32 @@ def test_ode_seed_invariant_under_x0_halving():
     assert abs(r1.w_at_1 - r2.w_at_1) <= 2 * tol
 
 
+def test_explicit_x0_past_the_series_ratio_bound_is_rejected():
+    # a = 100, m = 0: rho_0 = 100/6, so x0^2 rho_0 <= 1/4 needs x0 <= 0.1225
+    problem = RiccatiProblem(100, 0, 1, 0)
+    with pytest.raises(ValueError, match="ratio bound"):
+        solve_riccati(problem, 1e-8, x0=0.2)
+    assert solve_riccati(RiccatiProblem(1, 0, 1, 0), 1e-8, x0=0.5).x0 == 0.5
+
+
+def test_default_start_point_is_reported():
+    res = solve_riccati(RiccatiProblem(1, 0, 1, 0), 1e-8)
+    assert res.x0 == 0.5 and abs(res.w_at_1 - COT1) < 1e-9
+    # rho_0 = 100/6 pulls x0 below 1/2: x0^2 = 1/(4 rho_0)
+    assert solve_riccati(RiccatiProblem(-100, 0, 1, 0), 1e-8).x0 == pytest.approx(
+        math.sqrt(6 / 400), rel=1e-12)
+
+
+def test_tiny_exponent_starts_in_log_space():
+    # m + 2 = 1/100 puts x0 near 1e-243: the start is found as ln z, z = x0^s,
+    # and a start past 1e4 units of ln x is refused
+    problem = RiccatiProblem(-1, F(1, 3), 1, F(1, 100) - 2)
+    rep = verify_riccati(problem, 2000, 1e-8)
+    assert rep.passed and 0 < rep.ode_x0 < 1e-200
+    with pytest.raises(RiccatiDomainError, match="ln x0"):
+        solve_riccati(RiccatiProblem(-1, F(1, 3), 1, F(1, 10**6) - 2), 1e-8)
+
+
 def test_ode_small_exponent_auto_shrinks_seed_point():
     rep = verify_riccati(RiccatiProblem(1, 0, 1, F(-3, 2)), 300, 1e-6)
     assert rep.passed
@@ -215,6 +248,16 @@ def test_verify_unit_drift_case():
 def test_verify_nonzero_linear_coefficient():
     # pins the reduced equation's x^(m+2) coupling of the linear term
     rep = verify_riccati(RiccatiProblem(1, F(1, 3), 1, 0), 80, 1e-8)
+    assert rep.passed
+
+
+def test_large_solution_is_compared_relative_to_its_size():
+    # |w(1)| = 231: the integrator's steps are held to tol * |w|, so the ODE
+    # is 5e-8 away, 2e-10 relative; an absolute test at 1e-8 would fail it
+    rep = verify_riccati(RiccatiProblem(-9, -10, -2, F(3, 2)), 80, 1e-8)
+    assert rep.eval_status is EvalStatus.CONVERGED and rep.stop is EvalStop.DIFFERENCE
+    assert rep.cf_value == pytest.approx(-230.98709872167765, rel=1e-15)
+    assert 1e-8 < rep.abs_error <= rep.allowed == 1e-8 * abs(rep.ode_value)
     assert rep.passed
 
 
@@ -265,3 +308,61 @@ def test_ode_results_match_golden_file_exactly(case):
     res = solve_riccati(problem, float(case["tol"]), x0)
     assert (repr(res.w_at_1), res.steps, repr(res.est_error)) == (
         case["w_at_1"], case["steps"], case["est_error"])
+
+
+@functools.cache
+def fraction_limit(a, b, c, m):
+    """The fraction's value from exact convergents: the last one of a fraction
+    that ends, else the first float that three successive convergents share."""
+    value, run = float(cf_from_riccati(RiccatiProblem(a, b, c, m)).leading), 0
+    for conv in convergent_iter(cf_from_riccati(RiccatiProblem(a, b, c, m))):
+        if not conv.defined:
+            continue
+        v = float(conv.value)
+        run = run + 1 if v == value else 0
+        value = v
+        if run == 2:
+            break
+    return value
+
+
+@pytest.mark.parametrize("case", [c for c in GOLDEN_ODE if "error" not in c],
+                         ids=lambda e: "{a},{b},{c},{m}-{tol}".format(**e)
+                         + (f"-x0={e['x0']}" if "x0" in e else ""))
+def test_golden_ode_value_is_within_tol_of_the_fraction_limit(case):
+    limit = fraction_limit(*(F(case[k]) for k in "abcm"))
+    assert abs(float(case["w_at_1"]) - limit) <= float(case["tol"])
+
+
+def exact_series(problem, z):
+    """D = u(x0)/x0 and w(x0) from the Frobenius series in exact rationals,
+    summed until its terms fall below 1e-40."""
+    ac, b, s = problem.a * problem.c, problem.b, problem.m + 2
+    t, n, d_sum, n_sum = F(1), 0, F(1), F(1)
+    while t and abs(t) > F(1, 10**40):
+        t *= -(ac + b * (1 + n * s)) / ((n + 1) * s * (1 + (n + 1) * s)) * z
+        n += 1
+        d_sum += t
+        n_sum += (1 + n * s) * t
+    return d_sum, n_sum / d_sum
+
+
+rationals = st.fractions(min_value=-12, max_value=12, max_denominator=7)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rationals, rationals, rationals.filter(bool),
+       st.fractions(min_value=F(1, 8), max_value=6, max_denominator=8),
+       st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12]))
+def test_series_seed_matches_exact_series_within_its_bound(a, b, c, s, tol):
+    problem = RiccatiProblem(a, b, c, s - 2)
+    ac, bf, sf = float(a * c), float(b), float(s)
+    rho = _max_ratio(ac, bf, sf)
+    tau0, z = _start(sf, rho)
+    w, bound = _series_seed(ac, bf, sf, z, z * rho, tol)
+    assert math.exp(tau0) <= 0.5 * (1 + 1e-15)
+    d_exact, w_exact = exact_series(problem, F(z))
+    assert d_exact >= F(2, 3)
+    assert abs(F(w) - w_exact) <= F(bound)
+    # a small part of the ODE's tol, down to the floor of float rounding
+    assert bound <= max(tol / 100, 1e-13) * max(1.0, abs(w))
