@@ -59,7 +59,6 @@ from .catalog import (
 )
 from .riccati import (
     ODEResult,
-    PoleEncounteredError,
     RiccatiDomainError,
     RiccatiProblem,
     RiccatiReport,

@@ -5,7 +5,7 @@ Subcommands:
 * ``eval``     evaluate a catalog family at a parameter point
 * ``convert``  series-to-cf / cf-to-series exact conversions
 * ``verify``   run a manifest (or the built-in suite) and emit JSON lines
-* ``riccati``  compare a Riccati fraction against the integrated equation
+* ``riccati``  compare a Riccati fraction against the equation's series solution
 
 Exit codes: 0 ok / all passed, 1 verification failure, 2 budget exhausted,
 partial output (a reader that closed the output pipe early included), or
@@ -48,7 +48,7 @@ from .core import (
     eval_float,
 )
 from .quadrature import QuadratureError
-from .riccati import PoleEncounteredError, RiccatiProblem, verify_riccati
+from .riccati import RiccatiProblem, verify_riccati
 from .series import SeriesSpec, ZeroPivotError, series_to_cf
 
 EX_OK = 0
@@ -152,7 +152,7 @@ def _build_parser() -> _Parser:
     p_ver.add_argument("--family", default=None, help="run only this family's cases")
     p_ver.add_argument("--jobs", type=_positive_int, default=1)
 
-    p_ric = sub.add_parser("riccati", help="fraction vs. integrated Riccati equation")
+    p_ric = sub.add_parser("riccati", help="fraction vs. the Riccati equation's series solution")
     p_ric.add_argument("--a", required=True)
     p_ric.add_argument("--b", required=True)
     p_ric.add_argument("--c", required=True)
@@ -423,7 +423,6 @@ def _cmd_riccati(args) -> int:
             "allowed": rep.allowed,
             "terms": rep.terms_used,
             "ode_steps": rep.ode_steps,
-            "ode_x0": rep.ode_x0,
             "ode_est_error": rep.ode_est_error,
             "terminated_depth": rep.terminated_depth,
             "eval_status": rep.eval_status.value,
@@ -433,7 +432,6 @@ def _cmd_riccati(args) -> int:
     else:
         print(f"cf value   {_fmt(rep.cf_value)}")
         print(f"ode value  {_fmt(rep.ode_value)}")
-        print(f"ode x0     {_fmt(rep.ode_x0)}")
         print(f"abs error  {_fmt(rep.abs_error)}")
         print(f"allowed    {_fmt(rep.allowed)} (tol * max(1, |ode value|))")
         if rep.terminated_depth is not None:
@@ -474,9 +472,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # a parameter point the command cannot evaluate: an unknown family or
     # parameter, a violated constraint (a ValueError), a nonzero term that
     # rounds to 0.0, a float overflow or zero division, unconverged
-    # quadrature, or an ODE pole
+    # quadrature, or a Riccati series that cannot be summed to the tolerance
     except (UnknownFamilyError, ValueError, ArithmeticError, ContinuedFractionError,
-            QuadratureError, PoleEncounteredError) as exc:
+            QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
 
