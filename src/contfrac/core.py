@@ -558,9 +558,9 @@ def equivalence_transform(cf: ContinuedFraction, scales: Sequence[Rational]) -> 
         raise ValueError("equivalence scales must be nonzero")
 
     def factory() -> Iterator[PartialTerm]:
-        prev = Fraction(1)
-        for t, cur in zip(cf.terms(), itertools.chain(factors, itertools.repeat(Fraction(1)))):
-            yield PartialTerm(prev * cur * t.numerator, cur * t.denominator)
+        prev = 1
+        for t, cur in zip(cf.terms(), itertools.chain(factors, itertools.repeat(1))):
+            yield term(prev * cur * t.numerator, cur * t.denominator)
             prev = cur
 
     return ContinuedFraction(cf.leading, factory)

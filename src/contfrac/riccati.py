@@ -21,8 +21,8 @@ fraction.  The regularised variable w = c x y satisfies the ordinary equation
     x w' = w - w^2 - (a c + b w) x^(m+2),        w(0) = 1,
 
 and w = x u'/u for the Frobenius series u of the linearised equation, which
-is entire in x^(m+2).  Summed in floats at x = 1, it gives w(1) with a proven
-bound on its tails and rounding, across any movable pole of w in (0, 1).
+is entire in x^(m+2).  Summed exactly, on integers, at x = 1, it gives w(1)
+with a proven bound on its tails, across any movable pole of w in (0, 1).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .core import (ContinuedFraction, EvalStatus, EvalStop, PartialTerm, as_fraction,
+from .core import (ContinuedFraction, EvalStatus, EvalStop, PartialTerm, _exact, as_fraction,
                    check_tolerance, eval_float)
 
 
@@ -59,21 +59,27 @@ class RiccatiProblem:
                 "m + 2 <= 0 puts the boundary condition at infinity; unsupported")
 
 
+def _integer_form(problem: RiccatiProblem) -> tuple[int, int, int, int, int]:
+    """(A, B, p, q, L) with ac = A/L, b = B/L and m + 2 = p/q, where L is the
+    least common denominator of ac and b."""
+    ac, b, s = problem.a * problem.c, problem.b, problem.m + 2
+    L = math.lcm(ac.denominator, b.denominator)
+    return int(ac * L), int(b * L), s.numerator, s.denominator, L
+
+
 def _terms(problem: RiccatiProblem) -> Iterator[PartialTerm]:
     """The terms of the module docstring's fraction up to the first zero
-    numerator: three progressions, each advanced by one exact addition."""
-    ac, step = problem.a * problem.c, problem.m + 2
-    stride = step * problem.b
-    odd, even, mag = ac + problem.b, ac - stride, step + 1
+    numerator: three integer progressions, numerators over L q and
+    denominators over q, each advanced by one addition per pair of terms."""
+    A, B, p, q, L = _integer_form(problem)
+    den, stride = L * q, p * B
+    odd, even, mag = (A + B) * q, A * q - stride, p + q
     while odd:
-        yield PartialTerm(odd, -mag)
-        mag += step
+        yield PartialTerm(_exact(odd, den), _exact(-mag, q))
         if not even:
             return
-        yield PartialTerm(even, mag)
-        mag += step
-        odd += stride
-        even -= stride
+        yield PartialTerm(_exact(even, den), _exact(mag + p, q))
+        odd, even, mag = odd + stride, even - stride, mag + 2 * p
 
 
 def cf_from_riccati(problem: RiccatiProblem) -> ContinuedFraction:
@@ -85,17 +91,17 @@ def termination_depth(problem: RiccatiProblem) -> Optional[int]:
     """Depth at which the fraction terminates (first zero numerator), if any.
 
     With b = 0 every numerator is ac.  Else numerator 2j+1 vanishes when
-    j = (-ac/b - 1)/(m+2) is an integer >= 0 and numerator 2j when
-    j = ac/((m+2) b) is an integer >= 1; never both, which needs j + j' < 0.
+    j = -(A+B) q/(p B) is an integer >= 0 and numerator 2j when
+    j = A q/(p B) is an integer >= 1; never both, which needs j + j' < 0.
     """
-    ac, b, step = problem.a * problem.c, problem.b, problem.m + 2
-    if not b:
-        return None if ac else 0
-    j = (-ac / b - 1) / step
-    if j.denominator == 1 and j >= 0:
-        return 2 * j.numerator
-    j = ac / (step * b)
-    return 2 * j.numerator - 1 if j.denominator == 1 and j >= 1 else None
+    A, B, p, q, _ = _integer_form(problem)
+    if not B:
+        return None if A else 0
+    j, rest = divmod(-(A + B) * q, p * B)
+    if not rest and j >= 0:
+        return 2 * j
+    j, rest = divmod(A * q, p * B)
+    return 2 * j - 1 if not rest and j >= 1 else None
 
 
 def riccati_letters(problem: RiccatiProblem, count: int) -> list[Fraction]:
@@ -107,8 +113,6 @@ def riccati_letters(problem: RiccatiProblem, count: int) -> list[Fraction]:
 
     where d_j = j m + 2j + 1 is the magnitude of the j-th partial
     denominator and N_j the j-th partial numerator of the x = 1 fraction.
-    The closed forms of the individual letters are checked against these
-    products in the test suite.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -122,18 +126,26 @@ def riccati_letters(problem: RiccatiProblem, count: int) -> list[Fraction]:
 @dataclass(frozen=True)
 class ODEResult:
     """w(1) from the equation's series summed at x = 1; the number of series
-    terms summed; and a proven bound on the error of w(1)."""
+    terms summed; and a proven bound on the error of w(1): the tails, and the
+    one rounding of the exact N/D."""
 
     w_at_1: float
     steps: int
     est_error: float
 
 
-_U = 2.0 ** -53  # unit roundoff of a float
 # Terms summed at most.  The ratio bound falls below 1/2 once (n+1)(m+2)
 # passes a d of order 1 + |b| + sqrt|ac + b|; at d = 1, m + 2 = 1/100 sums
-# about a hundred terms and m + 2 = 1e-6 is refused before the first.
+# about a hundred terms and m + 2 = 1e-6 is refused before the first.  The
+# sums' integers grow by one ratio denominator a term, so the cost rises with
+# the square of the count: at m + 2 = 1/9000, 9,001 terms take about 0.2 s
+# and all 10,001 about 0.4 s (one Intel Xeon core, CPython 3.11).
 _MAX_TERMS = 10_000
+
+
+def _quotient(x: int, y: int) -> float:
+    """x/y correctly rounded, or inf where it may not fit in a float (y = 0 too)."""
+    return x / y if y and x.bit_length() - y.bit_length() < 1023 else math.inf
 
 
 def solve_riccati(problem: RiccatiProblem, tol: float) -> ODEResult:
@@ -146,29 +158,27 @@ def solve_riccati(problem: RiccatiProblem, tol: float) -> ODEResult:
     u is entire in z = x^s, so w(1) = N/D with D = sum c_n and
     N = sum (1+ns) c_n, the poles of w at zeros of u on (0, 1) included.
 
-    Each ratio c_(n+1)/c_n is one integer quotient, rounded once; with
-    d = (n+1)s, the ratio's size for every k >= n is at most
-    r = (|ac+b|/d + |b|)/(1+d), which falls with n.  Once r < 1/2 the tails
-    of D and N past term n are at most |c_n| q and |c_n| ((1+ns) q + s q/(1-r)),
-    q = r/(1-r); terms are added until these are below tol * 1e-4 relative to
-    D and to max(|D|, |N|).  dD and dN add to the tails each term's propagated
-    rounding error and every rounding of the sums, each at most the unit
-    roundoff times the rounded result, and |w - N/D| <= (dN + |w| dD)/(|D| - dD).
+    D and N are summed exactly, on integers over one scale.  With d = (n+1)s,
+    |c_(k+1)/c_k| <= r = (|ac+b|/d + |b|)/(1+d) for every k >= n, and r falls
+    with n.  Once r < 1/2 the tails of D and N past term n are at most
+    |c_n| q' and |c_n| ((1+ns) q' + s q'/(1-r)), q' = r/(1-r); terms are
+    added until these are below tol * 1e-4 relative to D and to
+    max(|D|, |N|), or until c_(n+1) = 0 ends the series.  Then w is the sums'
+    N/D rounded once, within (N's tail + |w| D's tail)/(|D| - D's tail) of
+    the series' value before that rounding.
 
-    ``steps`` is the number of terms summed and ``est_error`` that bound.
-    RiccatiDomainError refuses a problem whose ratio bound stays at or above
-    1/2 past ``_MAX_TERMS`` terms, and one whose bound exceeds
-    tol/4 * max(1, |w|): terms whose rounding swamps D, a term that
-    overflows, or a D not separated from 0 (a pole at x = 1).
+    ``steps`` is the number of terms summed and ``est_error`` that bound
+    plus the rounding.  RiccatiDomainError refuses a ratio bound at or above
+    1/2 past ``_MAX_TERMS`` terms, a D not separated from 0 by its tail (a
+    pole at x = 1), a |w| past the float range, and a bound above
+    tol/4 * max(1, |w|).
     """
     check_tolerance(tol)
-    ac, b, s = problem.a * problem.c, problem.b, problem.m + 2
-    # with s = p/q and h = q + np = q (1 + ns):
+    A, B, p, q, L = _integer_form(problem)
+    # with h = q + np = q (1 + ns):
     # c_(n+1)/c_n = -(big_a + big_b h) / (big_c (n+1) (h+p)), all integers
-    p, q = s.numerator, s.denominator
-    den = math.lcm(ac.denominator, b.denominator)
-    big_a, big_b, big_c = int(ac * den) * q * q, int(b * den) * q, den * p
-    head, abs_b, s = float(abs(ac + b)), float(abs(b)), float(s)
+    big_a, big_b, big_c = A * q * q, B * q, L * p
+    head, abs_b, s = _quotient(abs(A + B), L), _quotient(abs(B), L), p / q
     # r < 1/2 once d passes the positive root of d^2 + (1 - 2|b|) d - 2|ac+b|
     d_half = (2.0 * abs_b - 1.0 + math.sqrt((1.0 - 2.0 * abs_b) ** 2 + 8.0 * head)) / 2.0
     if not d_half < _MAX_TERMS * s:
@@ -176,56 +186,46 @@ def solve_riccati(problem: RiccatiProblem, tol: float) -> ODEResult:
             f"the series' ratio bound stays above 1/2 until (n+1)(m+2) > {d_half:.3g}, "
             f"m + 2 = {s:.3g}: more than {_MAX_TERMS} terms")
     eps = tol * 1e-4
-    t, e = 1.0, 0.0                 # c_n and a bound on its error
-    d_sum = n_sum = 1.0
-    d_err = n_err = 0.0
-    d_tail = n_tail = math.inf
-    g, h, n = 1.0, q, 0             # g = 1 + ns
+    t, dn, nn, h, n = 1, 1, q, q, 0     # c_n = t/S, D = dn/S, N = nn/(q S)
+    rel, grow = math.inf, 0.0           # D's tail over |D|, N's over D's
     while True:
+        num = big_a + big_b * h
+        if not num:                     # c_(n+1) = 0: the sums are exact
+            rel = 0.0
+            break
         d = (n + 1) * s
         r = (head / d + abs_b) / (1.0 + d)
         if r < 0.5:
-            last = abs(t) + e
-            d_tail = last * r / (1.0 - r)
-            n_tail = d_tail * (g + s / (1.0 - r))
-            if d_tail <= eps * abs(d_sum) and n_tail <= eps * max(abs(d_sum), abs(n_sum)):
+            rel = _quotient(abs(t), abs(dn)) * r / (1.0 - r)
+            grow = _quotient(h, q) + s / (1.0 - r)
+            if rel <= eps and rel * grow <= eps * max(1.0, abs(_quotient(nn, q * dn))):
                 break
         if n == _MAX_TERMS:
             break
-        f = (big_a + big_b * h) / (big_c * (n + 1) * (h + p))
-        e = abs(f) * (e + _U * (abs(t) + e))
-        t *= -f
-        e += _U * abs(t)
-        n += 1
-        h += p
-        g = h / q
-        d_sum += t
-        n_sum += g * t
-        d_err += e + _U * abs(d_sum)
-        n_err += g * (e + _U * (2.0 * abs(t) + e)) + _U * abs(n_sum)
-    d_bound, n_bound = d_tail + d_err, n_tail + n_err
-    if abs(d_sum) > d_bound:
-        w = n_sum / d_sum
-        bound = (n_bound + abs(w) * d_bound) / (abs(d_sum) - d_bound) + 2 * _U * abs(w)
+        den = big_c * (n + 1) * (h + p)
+        n, h, t = n + 1, h + p, -t * num
+        dn, nn = dn * den + t, nn * den + h * t
+    w = _quotient(nn, q * dn)
+    if rel < 1.0 and w != math.inf:
+        bound = rel * (grow + abs(w)) / (1.0 - rel) + math.ulp(w) / 2
         if bound <= tol / 4 * max(1.0, abs(w)):
             return ODEResult(w, n + 1, bound)
     raise RiccatiDomainError(
         f"the series at x = 1 gives no value within tol/4 * max(1, |w|) after {n + 1} "
-        f"terms: D = {d_sum:.6g} and N = {n_sum:.6g}, with errors up to {d_bound:.3g} "
-        f"and {n_bound:.3g}")
+        "terms: " + (f"w = {w:.6g}, and the tail of D is up to {rel:.3g} |D|" if dn
+                     else "D = u(1) = 0, a pole at x = 1"))
 
 
 @dataclass(frozen=True)
 class RiccatiReport:
-    """The fraction against the equation's series.  ``passed`` needs both
-    an evaluation that converged or ended finitely (``eval_status``) and an
+    """The fraction against the equation's series.  ``passed`` needs an
+    evaluation that converged or ended finitely (``eval_status``) and an
     ``abs_error`` = |cf - ode| within ``allowed`` = tol * max(1, |ode|): the
-    series' error is bounded by tol/4 * max(1, |w|) and the fraction is
-    evaluated to tol/4, so the comparison is absolute for |w| <= 1 and
-    relative above.  A fraction cut off by the depth budget shows nothing,
-    however close its last value is.  ``stop`` is the evaluation's stop
-    reason, ``ode_steps`` the series terms summed and ``ode_est_error`` the
-    series' proven error bound."""
+    series is bounded to tol/4 * max(1, |w|) and the fraction evaluated to
+    tol/4, so the comparison is absolute for |w| <= 1 and relative above.
+    A fraction cut off by the depth budget shows nothing, however close its
+    last value is.  ``stop`` is the evaluation's stop reason, ``ode_steps``
+    the series terms summed and ``ode_est_error`` the series' error bound."""
 
     cf_value: float
     ode_value: float
@@ -242,8 +242,7 @@ class RiccatiReport:
 
 def verify_riccati(problem: RiccatiProblem, depth: int, tol: float) -> RiccatiReport:
     """Compare the fraction at x = 1 against the equation's series."""
-    cf = cf_from_riccati(problem)
-    rep = eval_float(cf, tol / 4.0, depth)
+    rep = eval_float(cf_from_riccati(problem), tol / 4.0, depth)
     ode = solve_riccati(problem, tol)
     err = abs(rep.value - ode.w_at_1)
     allowed = tol * max(1.0, abs(ode.w_at_1))

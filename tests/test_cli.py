@@ -628,8 +628,8 @@ def test_eval_passes_a_zero_partial_denominator(capsys):
     ("eval", "--family", "F5", "--param", "f=1e300", "--param", "h=1e300",
      "--param", "r=1"),                                             # ZeroDivisionError
     ("riccati", "--a", "1e400", "--b", "0", "--c", "1", "--m", "0"),  # OverflowError
-    # terms up to 1.7e4 cancel to D = u(1) = -1.3e-4: the series' bound is 4.6e-5
-    ("riccati", "--a", "-53/4", "--b", "9/4", "--c", "-1", "--m", "-3/2"),
+    # the series ends at c_2 = 0 with D = u(1) = 1 - 1 = 0: a pole at x = 1
+    ("riccati", "--a", "4", "--b", "-2", "--c", "1", "--m", "-1"),
 ], ids=["eval-overflow", "eval-reference-zero-division", "riccati-overflow",
         "riccati-series-refused"])
 def test_point_that_cannot_be_evaluated_exits_64(capsys, argv):

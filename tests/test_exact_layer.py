@@ -26,9 +26,11 @@ from contfrac.core import (
     TermSpec,
     ZeroContinuantError,
     convergent_iter,
+    equivalence_transform,
     euler_series_expansion,
     even_contraction,
 )
+from contfrac.riccati import RiccatiProblem, cf_from_riccati
 from contfrac.series import SeriesSpec, ZeroPivotError, series_to_cf
 
 
@@ -216,15 +218,24 @@ polys = st.builds(Poly, st.lists(ints, min_size=1, max_size=3).map(tuple),
                   st.integers(min_value=1, max_value=6))
 
 
+scale_lists = st.lists(leadings.filter(bool), max_size=40)
+riccati_problems = st.builds(RiccatiProblem, leadings, leadings, leadings.filter(bool),
+                             st.fractions(min_value=-2, max_value=6, max_denominator=8)
+                             .filter(lambda m: m > -2))
+
+
 @settings(max_examples=300, deadline=None)
-@given(leadings, term_lists, series_pairs, polys, polys)
-def test_every_exact_term_is_an_int_exactly_when_integral(leading, terms, pairs, b, a):
+@given(leadings, term_lists, series_pairs, polys, polys, scale_lists, riccati_problems)
+def test_every_exact_term_is_an_int_exactly_when_integral(leading, terms, pairs, b, a,
+                                                          scales, problem):
     spec = TermSpec(leading, tuple(terms[:4]), b, a)  # head terms, then b(k) and a(k)
     for cf in (ContinuedFraction.from_pairs(leading, terms),
                ContinuedFraction.from_rule(leading, dict(enumerate(terms, 1)).get),
                ContinuedFraction.from_spec(spec),
                even_contraction(raw_cf(leading, terms)),
-               series_to_cf(SeriesSpec(lambda: iter(pairs)))):
+               series_to_cf(SeriesSpec(lambda: iter(pairs))),
+               equivalence_transform(raw_cf(leading, terms), scales),
+               cf_from_riccati(problem)):
         assert_one_type_rule(drain(cf.terms()))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contfrac.core import (EvalStatus, EvalStop, convergent_iter, convergent_sequence,
-                           equivalence_transform)
+from contfrac.core import (ContinuedFraction, EvalStatus, EvalStop, convergent_iter,
+                           convergent_sequence, equivalence_transform, eval_float)
 from contfrac.riccati import (
     RiccatiDomainError,
     RiccatiProblem,
@@ -19,6 +20,7 @@ from contfrac.riccati import (
     termination_depth,
     verify_riccati,
 )
+from test_exact_layer import assert_one_type_rule
 
 
 GOLDEN_ODE = json.loads(
@@ -98,10 +100,24 @@ def test_terms_and_termination_follow_the_docstring_formula(rng):
         stop = next((i for i, (num, _) in enumerate(want) if num == 0), None)
         got = cf_from_riccati(prob).take(130)
         assert got == want[:stop]
-        assert all(type(x) is F for t in got for x in t)
+        assert_one_type_rule(got)
         assert termination_depth(prob) == stop
         ended += stop is not None
     assert ended > 100
+
+
+def test_eval_float_reports_equal_those_on_the_formula_terms(rng):
+    # int terms where a term is integral change no float: every field of
+    # every report is the same as on the formula's terms up to a zero numerator
+    for _ in range(100):
+        prob = random_problem(rng)
+        terms = formula_terms(prob, 200)
+        stop = next((i for i, (num, _) in enumerate(terms) if num == 0), None)
+        formula = ContinuedFraction.from_pairs(1, terms[:stop])
+        for tol in (1e-6, 1e-12):
+            got, want = eval_float(cf_from_riccati(prob), tol, 200), eval_float(formula, tol, 200)
+            for field in dataclasses.fields(got):
+                assert repr(getattr(got, field.name)) == repr(getattr(want, field.name)), prob
 
 
 @pytest.mark.parametrize("a, b, depth", [
@@ -178,7 +194,7 @@ def test_ode_equilibrium_when_a_and_b_vanish():
     assert abs(res.w_at_1 - 1.0) < 1e-10
 
 
-def test_tiny_exponent_starts_in_log_space():
+def test_small_exponent_sums_more_terms_up_to_the_term_cap():
     # the ratio bound falls below 1/2 once (n+1)(m+2) > 1 here: m + 2 = 1/100
     # sums about a hundred terms, and m + 2 = 1e-6 is refused before the first
     problem = RiccatiProblem(-1, F(1, 3), 1, F(1, 100) - 2)
@@ -188,7 +204,7 @@ def test_tiny_exponent_starts_in_log_space():
         solve_riccati(RiccatiProblem(-1, F(1, 3), 1, F(1, 10**6) - 2), 1e-8)
 
 
-def test_ode_small_exponent_auto_shrinks_seed_point():
+def test_verify_passes_at_m_plus_2_one_half():
     rep = verify_riccati(RiccatiProblem(1, 0, 1, F(-3, 2)), 300, 1e-6)
     assert rep.passed
 
@@ -254,6 +270,22 @@ def test_verify_passes_across_a_movable_pole(a, value):
     assert abs(rep.ode_value - rep.cf_value) <= rep.ode_est_error + 1e-11 * abs(value)
 
 
+@pytest.mark.parametrize("abcm", ["-15/2,57/4,3,-7/4", "11/4,8,-1,-3/2", "3,57/4,1,-3/2",
+                                  "-3/4,29/4,-2,-7/4", "-15/2,41/4,1,-7/4", "-53/4,9/4,-1,-3/2"])
+def test_verify_passes_where_large_terms_cancel(abcm):
+    # series terms up to 1.7e4 to 1.2e12 cancel to a |D| of 4.6e-7 to 271:
+    # the exact sum loses nothing to them
+    rep = verify_riccati(RiccatiProblem(*(F(x) for x in abcm.split(","))), 80, 1e-8)
+    assert rep.passed and rep.ode_est_error <= 1e-8 / 4 * max(1.0, abs(rep.ode_value))
+
+
+def test_a_series_that_ends_with_d_zero_is_refused_at_its_end():
+    # ac + b(1 + ns) = 4 - 2(1 + n) vanishes at n = 1, so c_2 = 0 and
+    # D = c_0 + c_1 = 1 - 1 = 0: u = 1 - z, a pole at x = 1
+    with pytest.raises(RiccatiDomainError, match="after 2 terms: D = u"):
+        solve_riccati(RiccatiProblem(4, -2, 1, -1), 1e-8)
+
+
 def test_domain_validation():
     with pytest.raises(RiccatiDomainError):
         RiccatiProblem(1, 0, 1, -3)
@@ -298,8 +330,7 @@ def fraction_limit(a, b, c, m):
 
 
 @pytest.mark.parametrize("case", [c for c in GOLDEN_ODE if "error" not in c],
-                         ids=lambda e: "{a},{b},{c},{m}-{tol}".format(**e)
-                         + (f"-x0={e['x0']}" if "x0" in e else ""))
+                         ids=lambda e: "{a},{b},{c},{m}-{tol}".format(**e))
 def test_golden_ode_value_is_within_tol_of_the_fraction_limit(case):
     limit = fraction_limit(*(F(case[k]) for k in "abcm"))
     assert abs(float(case["w_at_1"]) - limit) <= float(case["tol"])
@@ -328,9 +359,9 @@ rationals = st.fractions(min_value=-12, max_value=12, max_denominator=7)
 @given(rationals, rationals, rationals.filter(bool),
        st.fractions(min_value=F(1, 8), max_value=6, max_denominator=8),
        st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12]))
-def test_series_seed_matches_exact_series_within_its_bound(a, b, c, s, tol):
-    # either the float sum at x = 1 lies within its bound of the exact sum,
-    # or the problem is refused
+def test_series_value_matches_exact_series_within_its_bound(a, b, c, s, tol):
+    # either w(1) lies within its bound of the exact sum in Fraction
+    # arithmetic, or the problem is refused
     problem = RiccatiProblem(a, b, c, s - 2)
     try:
         res = solve_riccati(problem, tol)
