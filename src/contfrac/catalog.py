@@ -447,7 +447,7 @@ def reference_value(family: str, params: Mapping[str, Rational]) -> Tuple[float,
 class VerifyStatus(str, Enum):
     PASS = "pass"
     FAIL = "fail"
-    INCONCLUSIVE = "inconclusive"   # references inside a bracket wider than the tolerance
+    INCONCLUSIVE = "inconclusive"   # bracket wider than tolerance, or none and budget spent
     DIVERGENT = "divergent"
     CONSTRAINT_VIOLATION = "constraint-violation"
     UNDEFINED = "undefined"
@@ -494,9 +494,9 @@ def verify(case: IdentityCase) -> VerificationReport:
     families must additionally agree with each other to ``DUAL_AGREEMENT``.
     A bracket wider than the tolerance (the term budget ran out first) that
     holds every reference is ``INCONCLUSIVE``: it shows no error, nor the
-    identity to the asked tolerance.  So is a value within the tolerance of
-    every reference from an evaluation whose budget ran out with no bracket:
-    the last difference says nothing of how far the limit is.
+    identity to the asked tolerance.  So is any evaluation whose budget ran
+    out with no bracket, however far its last value is from a reference: the
+    last difference says nothing of how far the limit is.
     """
     try:
         fam, P = _resolve(case.family, case.params)
@@ -515,16 +515,16 @@ def verify(case: IdentityCase) -> VerificationReport:
         return VerificationReport(case, VerifyStatus.UNDEFINED, references=refs,
                                   detail=f"evaluation failed: {exc}")
 
-    status, detail = _verdict(case, rep, refs)
+    status, detail = _verdict(rep, refs, case.tolerance)
     return VerificationReport(case, status, rep.value, rep.lower, rep.upper, rep.terms_used,
                               refs, abs(rep.value - refs[0]), rep.status, detail, rep.stop,
                               rep.renorms)
 
 
-def _verdict(case: IdentityCase, rep: EvalReport,
-             refs: Tuple[float, ...]) -> Tuple[VerifyStatus, str]:
-    """Status and detail of an evaluated case: divergence first, then dual
-    disagreement, then the bracket when there is one, else the difference."""
+def _verdict(rep: EvalReport, refs: Tuple[float, ...],
+             tolerance: float) -> Tuple[VerifyStatus, str]:
+    """Status and detail of an evaluation against its references: divergence,
+    dual disagreement, the bracket, a spent budget, then the difference."""
     if rep.status is EvalStatus.DIVERGENT:
         return VerifyStatus.DIVERGENT, "oscillation without contraction"
     if len(refs) == 2 and abs(refs[0] - refs[1]) > DUAL_AGREEMENT:
@@ -533,13 +533,13 @@ def _verdict(case: IdentityCase, rep: EvalReport,
         slack = 1e-12 * max(1.0, abs(refs[0]))
         if not all(rep.lower - slack <= ref <= rep.upper + slack for ref in refs):
             return VerifyStatus.FAIL, "reference outside bracket"
-        if not rep.upper - rep.lower <= case.tolerance:
+        if not rep.upper - rep.lower <= tolerance:
             return VerifyStatus.INCONCLUSIVE, (f"bracket width {rep.upper - rep.lower:.3e} "
-                                               f"above tolerance {case.tolerance:.1e}")
-    elif not all(abs(rep.value - ref) <= case.tolerance for ref in refs):
-        return VerifyStatus.FAIL, "absolute error above tolerance"
+                                               f"above tolerance {tolerance:.1e}")
     elif rep.status is EvalStatus.BUDGET_EXHAUSTED:
         return VerifyStatus.INCONCLUSIVE, "term budget exhausted without a bracket"
+    elif not all(abs(rep.value - ref) <= tolerance for ref in refs):
+        return VerifyStatus.FAIL, "absolute error above tolerance"
     return VerifyStatus.PASS, ""
 
 

@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes: 0 ok / all passed, 1 verification failure, 2 budget exhausted,
 partial output (a reader that closed the output pipe early included), or
-verify cases or a Riccati comparison that are at worst inconclusive, 3
-divergence flagged (an evaluation or a Riccati comparison), 64 usage error
+verify cases or a Riccati comparison that are at worst inconclusive (one rule,
+``catalog._verdict``, calls any budget spent without a bracket inconclusive),
+3 divergence flagged (an evaluation or a Riccati comparison), 64 usage error
 or a parameter point that cannot be evaluated, 66 unreadable manifest.
 """
 
@@ -31,11 +32,11 @@ from .catalog import (
     UnknownFamilyError,
     VerificationReport,
     VerifyStatus,
+    _resolve,
     builtin_suite,
     family_ids,
     make_cf,
     normalize_params,
-    reference_value,
     verify,
 )
 from .core import (
@@ -191,8 +192,8 @@ def _cmd_eval(args) -> int:
         return EX_OK
     params = _parse_params(args.param)
     terms = args.terms if args.terms is not None else (30 if args.exact else 1_000_000)
-    cf = make_cf(args.family, params)
-    refs = reference_value(args.family, params)
+    fam, P = _resolve(args.family, params)
+    cf, refs = fam.build(P), fam.refs(P)
     rep = eval_float(cf, args.tol, terms)
     exact = None
     if args.exact:
@@ -407,14 +408,6 @@ def _cmd_riccati(args) -> int:
     problem = RiccatiProblem(_parse_rational(args.a), _parse_rational(args.b),
                              _parse_rational(args.c), _parse_rational(args.m))
     rep = verify_riccati(problem, args.depth, args.tol)
-    if rep.passed:
-        verdict, code = "pass", EX_OK
-    elif rep.eval_status is EvalStatus.BUDGET_EXHAUSTED:
-        verdict, code = "inconclusive", EX_BUDGET
-    elif rep.eval_status is EvalStatus.DIVERGENT:
-        verdict, code = "divergent", EX_DIVERGENT
-    else:
-        verdict, code = "fail", EX_FAIL
     if args.json:
         print(json.dumps({
             "cf_value": rep.cf_value,
@@ -427,7 +420,7 @@ def _cmd_riccati(args) -> int:
             "terminated_depth": rep.terminated_depth,
             "eval_status": rep.eval_status.value,
             "stop": rep.stop.value,
-            "verdict": verdict,
+            "verdict": rep.status.value,
         }))
     else:
         print(f"cf value   {_fmt(rep.cf_value)}")
@@ -438,8 +431,9 @@ def _cmd_riccati(args) -> int:
             print(f"terminates at depth {rep.terminated_depth}")
         print(f"status     {rep.eval_status.value}")
         print(f"stop       {rep.stop.value}")
-        print(f"verdict    {verdict}")
-    return code
+        print(f"verdict    {rep.status.value}")
+    return {VerifyStatus.PASS: EX_OK, VerifyStatus.INCONCLUSIVE: EX_BUDGET,
+            VerifyStatus.DIVERGENT: EX_DIVERGENT}.get(rep.status, EX_FAIL)
 
 
 def _run(args) -> int:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
+from .catalog import VerifyStatus, _verdict
 from .core import (ContinuedFraction, EvalStatus, EvalStop, PartialTerm, _exact, as_fraction,
                    check_tolerance, eval_float)
 
@@ -218,14 +219,15 @@ def solve_riccati(problem: RiccatiProblem, tol: float) -> ODEResult:
 
 @dataclass(frozen=True)
 class RiccatiReport:
-    """The fraction against the equation's series.  ``passed`` needs an
-    evaluation that converged or ended finitely (``eval_status``) and an
-    ``abs_error`` = |cf - ode| within ``allowed`` = tol * max(1, |ode|): the
-    series is bounded to tol/4 * max(1, |w|) and the fraction evaluated to
-    tol/4, so the comparison is absolute for |w| <= 1 and relative above.
-    A fraction cut off by the depth budget shows nothing, however close its
-    last value is.  ``stop`` is the evaluation's stop reason, ``ode_steps``
-    the series terms summed and ``ode_est_error`` the series' error bound."""
+    """The fraction against the equation's series.  ``status`` is
+    ``catalog.verify``'s verdict, with ``ode_value`` the reference and
+    ``allowed`` = tol * max(1, |ode|) the tolerance: the series is bounded to
+    tol/4 * max(1, |w|) and the fraction evaluated to tol/4, so the comparison
+    is absolute for |w| <= 1 and relative above.  A fraction cut off by the
+    depth budget without a bracket is inconclusive, however close or far its
+    last value.  ``abs_error`` is |cf - ode|, ``stop`` the evaluation's stop
+    reason, ``ode_steps`` the series terms summed and ``ode_est_error`` the
+    series' error bound."""
 
     cf_value: float
     ode_value: float
@@ -236,18 +238,21 @@ class RiccatiReport:
     stop: EvalStop
     ode_steps: int
     ode_est_error: float
-    passed: bool
+    status: VerifyStatus
     terminated_depth: Optional[int] = None
+
+    @property
+    def passed(self) -> bool:
+        return self.status is VerifyStatus.PASS
 
 
 def verify_riccati(problem: RiccatiProblem, depth: int, tol: float) -> RiccatiReport:
     """Compare the fraction at x = 1 against the equation's series."""
     rep = eval_float(cf_from_riccati(problem), tol / 4.0, depth)
     ode = solve_riccati(problem, tol)
-    err = abs(rep.value - ode.w_at_1)
     allowed = tol * max(1.0, abs(ode.w_at_1))
+    status, _ = _verdict(rep, (ode.w_at_1,), allowed)
     depth_term = (rep.terms_used if rep.status is EvalStatus.TERMINATED_FINITE else None)
-    settled = rep.status in (EvalStatus.CONVERGED, EvalStatus.TERMINATED_FINITE)
-    return RiccatiReport(rep.value, ode.w_at_1, err, allowed, rep.terms_used, rep.status,
-                         rep.stop, ode.steps, ode.est_error,
-                         settled and err <= allowed, depth_term)
+    return RiccatiReport(rep.value, ode.w_at_1, abs(rep.value - ode.w_at_1), allowed,
+                         rep.terms_used, rep.status, rep.stop, ode.steps, ode.est_error,
+                         status, depth_term)

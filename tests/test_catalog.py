@@ -22,7 +22,8 @@ from contfrac.catalog import (
     reference_value,
     verify,
 )
-from contfrac.core import ContinuedFractionError, EvalStatus, PositivityClass, eval_float, positivity_class
+from contfrac.core import (ContinuedFractionError, EvalReport, EvalStatus, PositivityClass,
+                           eval_float, positivity_class)
 from contfrac.quadrature import beta, sqrt_kernel_integral
 
 
@@ -273,8 +274,57 @@ def test_verify_budget_exhausted_without_bracket_is_inconclusive():
     assert rep.abs_error <= 1e-4
     assert rep.status is VerifyStatus.INCONCLUSIVE and not rep.passed
     assert rep.detail == "term budget exhausted without a bracket"
-    rep = verify(IdentityCase("pi-half-b", {}, 1e-6, 50))
-    assert rep.status is VerifyStatus.FAIL and rep.detail == "absolute error above tolerance"
+    # a last value farther than tol shows no error either: both are true
+    # identities stopped early
+    far = [IdentityCase("pi-half-b", {}, 1e-6, 50),
+           IdentityCase("F8", {"a": F(2), "b": F(1), "c": F(3, 2), "r": F(1), "p": F(1),
+                               "q": F(-1, 2)}, 1e-9, 10)]
+    for rep in map(verify, far):
+        assert rep.eval_status is EvalStatus.BUDGET_EXHAUSTED and rep.lower is None
+        assert rep.abs_error > rep.case.tolerance
+        assert rep.status is VerifyStatus.INCONCLUSIVE
+        assert rep.detail == "term budget exhausted without a bracket"
+
+
+# one report per branch of catalog._verdict, in the order it tries them; each
+# row that does not pass meets a later branch's condition too, so the order
+# of the branches decides it
+_CONVERGED, _SPENT = EvalStatus.CONVERGED, EvalStatus.BUDGET_EXHAUSTED
+
+
+@pytest.mark.parametrize("rep, refs, tol, status, detail", [
+    # divergence, though the value and bracket hold the references
+    (EvalReport(1.0, 0.9, 1.1, 9, EvalStatus.DIVERGENT), (1.0, 5.0), 1.0,
+     VerifyStatus.DIVERGENT, "oscillation without contraction"),
+    # dual references that disagree, both outside a bracket narrower than tol
+    (EvalReport(1.0, 0.95, 1.05, 9, _CONVERGED), (0.9, 1.1), 1.0,
+     VerifyStatus.FAIL, "dual references disagree by 2.000e-01"),
+    # a reference outside a bracket wider than tol
+    (EvalReport(1.0, 0.9, 1.1, 9, _SPENT), (1.2,), 1e-6,
+     VerifyStatus.FAIL, "reference outside bracket"),
+    # a bracket wider than tol that holds the reference
+    (EvalReport(1.0, 0.9, 1.1, 9, _SPENT), (1.0,), 1e-6,
+     VerifyStatus.INCONCLUSIVE, "bracket width 2.000e-01 above tolerance 1.0e-06"),
+    # a spent budget with no bracket, near the reference and far from it
+    (EvalReport(1.0, None, None, 9, _SPENT), (1.0,), 1e-6,
+     VerifyStatus.INCONCLUSIVE, "term budget exhausted without a bracket"),
+    (EvalReport(1.0, None, None, 9, _SPENT), (2.0,), 1e-6,
+     VerifyStatus.INCONCLUSIVE, "term budget exhausted without a bracket"),
+    # a settled evaluation with no bracket, far from the reference and near it
+    (EvalReport(1.0, None, None, 9, _CONVERGED), (1.5,), 0.25,
+     VerifyStatus.FAIL, "absolute error above tolerance"),
+    (EvalReport(1.0, None, None, 9, EvalStatus.TERMINATED_FINITE), (1.0,), 1e-6,
+     VerifyStatus.PASS, ""),
+    # a tolerance scaled past the distance, as verify_riccati passes tol * |w|
+    (EvalReport(-231.0, None, None, 9, _CONVERGED), (-231.0002,), 1e-6 * 231.0002,
+     VerifyStatus.PASS, ""),
+    # a bracket within tol that holds the reference
+    (EvalReport(1.0, 1.0 - 1e-9, 1.0 + 1e-9, 9, _CONVERGED), (1.0,), 1e-6,
+     VerifyStatus.PASS, ""),
+], ids=["divergent", "dual-disagreement", "outside-bracket", "wide-bracket", "spent-near",
+        "spent-far", "settled-far", "settled-near", "scaled-tolerance", "narrow-bracket"])
+def test_verdict_branches_in_order(rep, refs, tol, status, detail):
+    assert catalog._verdict(rep, refs, tol) == (status, detail)
 
 
 def test_verify_f2_mu3_is_divergent():

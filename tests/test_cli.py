@@ -378,6 +378,16 @@ def test_verify_budget_exhausted_without_bracket_is_inconclusive_exit_2(tmp_path
     assert record["detail"] == "term budget exhausted without a bracket"
 
 
+def test_verify_spent_budget_far_from_the_reference_is_inconclusive_exit_2(tmp_path, capsys):
+    manifest = tmp_path / "cases.json"
+    manifest.write_text(json.dumps([{"family": "pi-half-b", "tolerance": 1e-6, "max_terms": 50}]))
+    code, out, _ = run(capsys, "verify", "--manifest", str(manifest))
+    assert code == EX_BUDGET
+    record = json.loads(out)
+    assert record["status"] == "inconclusive" and record["abs_error"] > 1e-6
+    assert record["detail"] == "term budget exhausted without a bracket"
+
+
 def test_verify_failure_outranks_inconclusive(tmp_path, capsys):
     manifest = tmp_path / "cases.json"
     manifest.write_text(json.dumps([

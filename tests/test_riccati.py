@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contfrac.catalog import VerifyStatus
 from contfrac.core import (ContinuedFraction, EvalStatus, EvalStop, convergent_iter,
                            convergent_sequence, equivalence_transform, eval_float)
 from contfrac.riccati import (
@@ -258,6 +259,17 @@ def test_a_spent_depth_budget_does_not_pass():
     assert rep.eval_status is EvalStatus.BUDGET_EXHAUSTED and not rep.passed
     rep = verify_riccati(RiccatiProblem(F(-23, 4), 2, 3, F(17, 4)), 80, 1e-8)
     assert rep.eval_status is EvalStatus.CONVERGED and rep.passed
+
+
+@pytest.mark.parametrize("abcm, depth, status", [
+    ((1, 0, 1, 0), 60, VerifyStatus.PASS),
+    ((F(-23, 4), 2, 3, F(17, 4)), 6, VerifyStatus.INCONCLUSIVE),
+    ((F(33, 4), F(-17, 2), 1, F(-7, 4)), 2000, VerifyStatus.DIVERGENT),
+])
+def test_verify_riccati_status_is_the_catalog_verdict(abcm, depth, status):
+    rep = verify_riccati(RiccatiProblem(*abcm), depth, 1e-8)
+    assert rep.status is status
+    assert rep.passed is (status is VerifyStatus.PASS)
 
 
 @pytest.mark.parametrize("a, value", [(40, 152.79054353134), (100, 15.423510453570)],
