@@ -2,10 +2,13 @@
 
 Every family pairs a continued-fraction generator with one or two independent
 reference evaluators (Beta-function closed forms, double-exponential
-quadrature, or a fixed constant).  ``verify`` evaluates the fraction with
-rigorous bracket stopping where the positivity certificate holds and checks
-that the reference lies inside the bracket (or within the case tolerance when
-no bracket exists).
+quadrature, or a fixed constant).  ``verify`` evaluates the fraction, which
+stops on a bracket of consecutive convergents while every term read is
+positive, and checks that each reference lies inside that bracket widened by
+a slack of 1e-12 * max(1, |reference|): the float bracket is not a proven
+enclosure.  Without a bracket, a settled evaluation must lie within the case
+tolerance of each reference, and one whose term budget ran out is
+``inconclusive``.
 
 Parameterized families
 ----------------------

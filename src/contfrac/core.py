@@ -7,8 +7,11 @@ partial terms, written here as
 
 with b_k the partial numerators and a_k the partial denominators.  Terms are
 exact: every term the library makes or reads is an ``int`` when its value is
-integral, else one reduced ``fractions.Fraction``.  Nothing is rounded until
-``eval_float`` is asked for a floating-point enclosure.
+integral, else one reduced ``fractions.Fraction``.  A term the library builds
+from an integer numerator and denominator (``_exact``) costs one gcd: the
+reduced Fraction is made directly, as ``Fraction._from_coprime_ints`` makes
+one.  Nothing is rounded until ``eval_float`` is asked for a floating-point
+enclosure.
 
 Convergents p_k/q_k follow the usual three-term recurrences
 
@@ -80,11 +83,23 @@ Exact = Union[int, Fraction]
 
 def _exact(num: int, den: int) -> Exact:
     """num/den as an exact term: the int value when it is integral, else one
-    reduced Fraction."""
-    if den == 1:
-        return num
-    x = Fraction(num, den)
-    return x.numerator if x.denominator == 1 else x
+    reduced Fraction.  Requires den != 0; every caller passes a product of
+    nonzero parts.
+
+    The sign goes to the numerator and one ``math.gcd`` reduces the pair.
+    The reduced Fraction is then built directly with its two slots set, as
+    CPython's ``Fraction._from_coprime_ints`` does, which skips the type
+    checks of the Python-level ``Fraction(num, den)``.
+    """
+    if den < 0:
+        num, den = -num, -den
+    g = math.gcd(num, den)
+    if g == den:
+        return num // g
+    x = object.__new__(Fraction)
+    x._numerator = num // g
+    x._denominator = den // g
+    return x
 
 
 def _reduced(value: Rational) -> Exact:
@@ -523,10 +538,10 @@ def even_contraction(cf: ContinuedFraction) -> ContinuedFraction:
                 yield PartialTerm(_exact(-bon * rn, bod * d), _exact(u, w))
                 return
             b_even, a_even = t_even
-            if a_even == 0:
-                raise ContractionError(depth)
             ben, bed = b_even.numerator, b_even.denominator
             aen, aed = a_even.numerator, a_even.denominator
+            if not aen:
+                raise ContractionError(depth)
             yield PartialTerm(_exact(-aen * bon * rn, aed * bod * d),
                               _exact(aen * u * bed + ben * aed * w, aed * w * bed))
             rn, sn, d = ben * aed, aed * bed, bed * aen
@@ -540,7 +555,13 @@ class PositivityClass(str, Enum):
 
 
 def positivity_class(cf: ContinuedFraction, k: int) -> PositivityClass:
-    """Guaranteed convergent iff the first k partial terms are all positive."""
+    """``GUARANTEED_CONVERGENT`` when the first k partial terms are all
+    positive, else ``NOT_GUARANTEED``.
+
+    Despite its name, the class describes those k terms alone: it proves
+    nothing about the terms after them, so it is no convergence proof.  The
+    name stays because callers read it.
+    """
     for t in cf.take(k):
         if t.numerator <= 0 or t.denominator <= 0:
             return PositivityClass.NOT_GUARANTEED

@@ -62,7 +62,7 @@ class SeriesSpec:
             raise ValueError("series must not be empty")
         nf = tuple(as_fraction(x) for x in nums)
         df = tuple(as_fraction(x) for x in dens)
-        if any(d == 0 for d in df):
+        if not all(d.numerator for d in df):
             raise ValueError("series denominators must be nonzero")
         pairs = tuple(zip(nf, df))
         return SeriesSpec(lambda: iter(pairs))
@@ -125,17 +125,17 @@ def series_to_cf(series: SeriesSpec) -> ContinuedFraction:
     def factory():
         it = series.pairs()
         n, d = next(it)
-        if not (n and d):
-            raise ZeroPivotError(1)
-        yield term(n, d)
         # n_{k-3}, n_{k-2}, d_{k-2} as numerator and denominator;
         # n_{-1} = 1 makes term 2 an instance of the general term
         n3n, n3d = 1, 1
         n2n, n2d, d2n, d2d = n.numerator, n.denominator, d.numerator, d.denominator
+        if not (n2n and d2n):
+            raise ZeroPivotError(1)
+        yield term(n, d)
         for depth, (n, d) in enumerate(it, 2):
-            if not (n and d):
-                raise ZeroPivotError(depth)
             n1n, n1d, d1n, d1d = n.numerator, n.denominator, d.numerator, d.denominator
+            if not (n1n and d1n):
+                raise ZeroPivotError(depth)
             yield PartialTerm(_exact(n3n * n1n * d2n * d2n, n3d * n1d * d2d * d2d),
                               _exact(n2n * d1n * n1d * d2d - n1n * d2n * n2d * d1d,
                                      n2d * d1d * n1d * d2d))

@@ -10,11 +10,14 @@ loops below are written out in ``Fraction`` arithmetic; the series one stops
 only at a zero series term.
 """
 
+import copy
 import itertools
+import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contfrac.core import (
@@ -25,6 +28,7 @@ from contfrac.core import (
     Poly,
     TermSpec,
     ZeroContinuantError,
+    _exact,
     convergent_iter,
     equivalence_transform,
     euler_series_expansion,
@@ -146,8 +150,13 @@ def test_convergents_match_the_fraction_recurrence(leading, terms):
         prev = (c.p, c.q)
 
 
+# a zero a_{2k}, given as 0 and as Fraction(0), at depths 1 and 2
 @settings(max_examples=300, deadline=None)
 @given(leadings, term_lists)
+@example(0, [(1, 1), (1, 0)])
+@example(0, [(1, 1), (1, F(0))])
+@example(1, [(1, 1), (-1, 2), (F(1, 2), 3), (2, 0), (1, 1)])
+@example(1, [(1, 1), (-1, 2), (F(1, 2), 3), (2, F(0)), (1, 1)])
 def test_even_contraction_matches_the_fraction_loop(leading, terms):
     want, depth = fraction_contraction(terms)
     got = []
@@ -164,8 +173,18 @@ def test_even_contraction_matches_the_fraction_loop(leading, terms):
 series_pairs = st.lists(st.tuples(exact, exact), min_size=2, max_size=30)
 
 
+# a zero series numerator or denominator, given as 0 and as Fraction(0),
+# first and later
 @settings(max_examples=300, deadline=None)
 @given(series_pairs)
+@example([(0, 1), (1, 2)])
+@example([(F(0), 1), (1, 2)])
+@example([(1, 0), (1, 2)])
+@example([(1, F(0)), (1, 2)])
+@example([(1, 2), (F(1, 3), 3), (0, 4), (1, 5)])
+@example([(1, 2), (F(1, 3), 3), (F(0), 4), (1, 5)])
+@example([(1, 2), (F(1, 3), 3), (1, 0), (1, 5)])
+@example([(1, 2), (F(1, 3), 3), (1, F(0)), (1, 5)])
 def test_series_to_cf_matches_the_fraction_loop(pairs):
     want, depth = fraction_series_terms(pairs)
     got = []
@@ -237,6 +256,32 @@ def test_every_exact_term_is_an_int_exactly_when_integral(leading, terms, pairs,
                equivalence_transform(raw_cf(leading, terms), scales),
                cf_from_riccati(problem)):
         assert_one_type_rule(drain(cf.terms()))
+
+
+# signed ints from one digit to past 2**200; a common factor g and, when
+# integral is drawn, a numerator that den divides
+wide_ints = st.one_of(st.integers(min_value=-9, max_value=9),
+                      st.integers(min_value=-2 ** 260, max_value=2 ** 260))
+
+
+@settings(max_examples=500, deadline=None)
+@given(wide_ints, wide_ints.filter(bool), wide_ints.filter(bool), st.booleans())
+@example(0, -1, 1, False)
+@example(0, 5, -3, False)
+@example(2 ** 201, -(2 ** 201), 1, False)
+def test_exact_is_the_fraction_typed_as_a_term(n, d, g, integral):
+    num, den = (n * d if integral else n) * g, d * g
+    x, want = _exact(num, den), F(num, den)
+    assert x == want
+    if want.denominator == 1:
+        assert type(x) is int
+    else:
+        assert type(x) is F
+        assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+    term = typed(want)
+    for y in (x, pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert same(y, term) and hash(y) == hash(want) and repr(y) == repr(term)
+    assert same(x + F(1, 3), want + F(1, 3))
 
 
 def test_integral_terms_are_ints_where_they_were_fractions():

@@ -117,8 +117,9 @@ def test_series_validation():
         SeriesSpec.from_lists([], [])
     with pytest.raises(ValueError):
         SeriesSpec.from_lists([1, 2], [1])
-    with pytest.raises(ValueError):
-        SeriesSpec.from_lists([1, 2], [1, 0])
+    for zero in (0, F(0), "0/5", 0.0):
+        with pytest.raises(ValueError, match="denominators must be nonzero"):
+            SeriesSpec.from_lists([1, 2], [1, zero])
     with pytest.raises(ValueError):
         series_to_cf(SeriesSpec.from_lists([1], [1]))
 
