@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -123,24 +124,23 @@ def term(numerator: Rational, denominator: Rational) -> PartialTerm:
 TermRule = Callable[[int], Optional[Tuple[Rational, Rational]]]
 
 
-@dataclass(frozen=True)
 class Poly:
     """Polynomial in the term index k with rational coefficients, kept as
     integer coefficients ``ints`` (highest degree first) over one positive
     denominator ``den``: the value is N(k)/den with N evaluated by Horner.
     Arithmetic with rationals and other ``Poly`` values lets a term rule be
-    written as an expression in ``K``, e.g. ``(f + (K-1)*r) ** 2``."""
+    written as an expression in ``K``, e.g. ``(f + (K-1)*r) ** 2``.
 
-    ints: Tuple[int, ...]
-    den: int = 1
+    Arithmetic keeps the integers it makes as they are: it strips no leading
+    zero and takes no gcd.  ``normal()`` does both, and ``TermSpec`` applies
+    it once to each polynomial it is given.  Two values are equal, and hash
+    alike, when their normal forms are equal."""
 
-    def __post_init__(self):
-        ints = self.ints
-        while len(ints) > 1 and ints[0] == 0:
-            ints = ints[1:]
-        g = math.gcd(self.den, *ints)
-        object.__setattr__(self, "ints", tuple(c // g for c in ints) if g > 1 else tuple(ints))
-        object.__setattr__(self, "den", self.den // g)
+    __slots__ = ("ints", "den")
+
+    def __init__(self, ints: Tuple[int, ...], den: int = 1):
+        self.ints = ints
+        self.den = den
 
     @staticmethod
     def lift(x: Union["Poly", Rational]) -> "Poly":
@@ -151,44 +151,116 @@ class Poly:
         x = as_fraction(x)
         return Poly((x.numerator,), x.denominator)
 
+    def normal(self) -> "Poly":
+        """The same value with no leading zero coefficient (one zero stays)
+        and ``den`` coprime to the coefficients."""
+        ints = self.ints
+        i = 0
+        while i < len(ints) - 1 and ints[i] == 0:
+            i += 1
+        g = math.gcd(self.den, *ints[i:])
+        return Poly(tuple(c // g for c in ints[i:]), self.den // g)
+
+    def __eq__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
+        a, b = self.normal(), other.normal()
+        return a.ints == b.ints and a.den == b.den
+
+    def __hash__(self):
+        a = self.normal()
+        return hash((a.ints, a.den))
+
+    def __repr__(self):
+        return f"Poly(ints={self.ints!r}, den={self.den!r})"
+
     def __add__(self, other):
-        o = Poly.lift(other)
-        a = [c * o.den for c in self.ints]
-        b = [c * self.den for c in o.ints]
-        n = max(len(a), len(b))
-        a[:0] = [0] * (n - len(a))
-        b[:0] = [0] * (n - len(b))
-        return Poly(tuple(x + y for x, y in zip(a, b)), self.den * o.den)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + Poly.lift(other) * -1
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return self * -1 + other
+        return -self + other
+
+    def __neg__(self):
+        return Poly(tuple([-c for c in self.ints]), self.den)
+
+    def _plus(self, other, sign: int) -> "Poly":
+        """self + sign * other, over the product of the denominators (one of
+        them when they are equal)."""
+        a, den = self.ints, self.den
+        if type(other) is int:
+            return Poly((*a[:-1], a[-1] + sign * other * den), den)
+        o = other if type(other) is Poly else Poly.lift(other)
+        b, oden = o.ints, o.den
+        if len(a) == 1 and len(b) == 1:
+            if oden == den:
+                return Poly((a[0] + sign * b[0],), den)
+            return Poly((a[0] * oden + sign * b[0] * den,), den * oden)
+        if oden != den:
+            a, b, den = [c * oden for c in a], [c * den for c in b], den * oden
+        if sign < 0:
+            b = [-c for c in b]
+        d = len(a) - len(b)
+        if d < 0:
+            a, b, d = b, a, -d
+        return Poly((*a[:d], *map(operator.add, a[d:], b)), den)
 
     def __mul__(self, other):
-        o = Poly.lift(other)
-        out = [0] * (len(self.ints) + len(o.ints) - 1)
-        for i, x in enumerate(self.ints):
-            for j, y in enumerate(o.ints):
-                out[i + j] += x * y
+        if type(other) is int:
+            return Poly(tuple([c * other for c in self.ints]), self.den)
+        o = other if type(other) is Poly else Poly.lift(other)
+        a, b = self.ints, o.ints
+        if len(a) == 1 and len(b) == 1:
+            return Poly((a[0] * b[0],), self.den * o.den)
+        if len(b) == 1:
+            c = b[0]
+            out = [x * c for x in a]
+        elif len(a) == 1:
+            c = a[0]
+            out = [c * y for y in b]
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
         return Poly(tuple(out), self.den * o.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        return math.prod([self] * n, start=Poly((1,)))
+        if n < 1:
+            return Poly((1,))
+        out = self
+        for _ in range(n - 1):
+            out = out * self
+        return out
 
 
 K = Poly((1, 0))
+
+
+def _constant(x: Union[Poly, Rational]) -> Exact:
+    """A head or leading value as an exact term; a ``Poly`` must be constant."""
+    if type(x) is not Poly:
+        return _reduced(x)
+    if len(x.ints) > 1:
+        x = x.normal()
+        if len(x.ints) > 1:
+            raise ValueError(f"a head or leading value must be a constant, got {x!r}")
+    return _exact(x.ints[0], x.den)
 
 
 @dataclass(frozen=True)
 class TermSpec:
     """A fraction as data: ``leading``, explicit ``head`` terms for
     k = 1..len(head), then b_k = b(k) and a_k = a(k) for every later k.
+    The constructor normalises each part once: ``leading`` becomes a
+    ``Fraction``, each head value an exact term (a ``Poly`` given there must
+    be constant), and ``b`` and ``a`` their ``Poly.normal()`` forms.
 
     ``exact_terms`` is the exact stream.  ``eval_float`` does not read it:
     it takes float terms from ``_spec_chunks``, which equal ``float()`` of
@@ -200,11 +272,11 @@ class TermSpec:
     a: Poly
 
     def __post_init__(self):
-        object.__setattr__(self, "leading", as_fraction(self.leading))
-        object.__setattr__(self, "head", tuple(PartialTerm(_reduced(b), _reduced(a))
+        object.__setattr__(self, "leading", as_fraction(_constant(self.leading)))
+        object.__setattr__(self, "head", tuple(PartialTerm(_constant(b), _constant(a))
                                                for b, a in self.head))
-        object.__setattr__(self, "b", Poly.lift(self.b))
-        object.__setattr__(self, "a", Poly.lift(self.a))
+        object.__setattr__(self, "b", Poly.lift(self.b).normal())
+        object.__setattr__(self, "a", Poly.lift(self.a).normal())
 
     def exact_terms(self) -> Iterator[PartialTerm]:
         """The exact stream, each value an int when it is integral."""

@@ -15,20 +15,32 @@ The quadrature engine drives two variable transforms:
 
 Estimates are refined by halving the mesh until two successive levels agree
 to the accuracy asked for, with a hard level cap.  Every call needs levels 0-2
-(the stopping test starts at level 2) and in practice reaches level 3, so
-the nodes of levels 0-3 are joined into one cached array per domain and the
-integrand is called once on them; each level then sums its own slice, as it
-would its own call.  Levels 4 and up call the integrand once each.  The join
-is exact because integrands are elementwise: each output depends only on its
-own node.  The joined call runs inside ``np.errstate(all="ignore")`` like
-every other level, so overflow or a log of 0 at a far node is masked, never
-raised as a ``RuntimeWarning``.
+(the stopping test starts at level 2), and on the catalog's references most
+unit integrals stop at level 4 and most half-line ones at level 5, so the
+nodes of levels 0-4 (unit) and 0-5 (half line) are joined into one cached
+array per domain and the integrand is called once on them; each level then
+sums its own slice, as it would its own call.  Later levels call the
+integrand once each.  The join is exact because integrands are elementwise:
+each output depends only on its own node.  Every call runs inside
+``np.errstate(all="ignore")``, so overflow or a log of 0 at a far node is
+never raised as a ``RuntimeWarning``; a non-finite contribution counts as 0.
+A level's sum of finite contributions is finite, so a level is masked and
+summed again only when its sum is not.
+
+``de_rows`` integrates several integrands, the rows, in one pass: every
+call of the row function evaluates all rows not yet stopped on the same
+nodes, so factors they share are computed once, and each row sums its own
+contributions and stops at its own level.  ``de_integral`` is its one-row
+case, so a row's result equals ``de_integral`` of that row alone on every
+field.  ``power_binomial_integrals`` and ``gaussian_tail_integrals`` give
+the moment chains of the references this way.
 
 log x of the unit nodes is computed once per node array, when the cached
 per-level and joined arrays are built.  ``PowerBinomialIntegrand`` looks it
 up by the identity of the array it is called on; any other array, even one
-with equal values, gets a fresh computation.  Integrands keep the
-``f(x, cx)`` / ``f(x)`` protocol.
+with equal values, gets a fresh computation.  A single integrand keeps the
+``f(x, cx)`` / ``f(x)`` protocol, and a row function takes the list of its
+live rows first.
 
 numpy is imported inside each function that makes or reads node arrays, not
 at module level: importing this module, or computing ``log_gamma``, ``beta``
@@ -99,7 +111,9 @@ def sqrt_kernel_integral(pp: float, r: float) -> float:
 # --------------------------------------------------------------------------
 
 _LEVEL_CAP = 12
-_JOINED = 3  # levels 0.._JOINED share one integrand call
+# levels 0.._JOINED[domain] share one integrand call; on the catalog's
+# references most unit integrals stop at level 4 and most half-line ones at 5
+_JOINED = {"unit": 4, "halfline": 5}
 _HALF_PI = 0.5 * math.pi
 # Trim where the transformed complement underflows; the double-exponential
 # weight decay has long since drowned any algebraic endpoint singularity.
@@ -200,11 +214,11 @@ def _level_nodes(domain: str, level: int):
 
 @lru_cache(maxsize=None)
 def _joined_nodes(domain: str):
-    """Nodes of levels 0.._JOINED joined field by field, and the cuts:
-    level k is ``[cuts[k]:cuts[k + 1]]`` of the joined arrays."""
+    """Nodes of levels 0.._JOINED[domain] joined field by field, and the
+    cuts: level k is ``[cuts[k]:cuts[k + 1]]`` of the joined arrays."""
     import numpy as np
 
-    levels = [_level_nodes(domain, level) for level in range(_JOINED + 1)]
+    levels = [_level_nodes(domain, level) for level in range(_JOINED[domain] + 1)]
     fields = tuple(np.concatenate(field) for field in zip(*levels))
     for a in fields:
         a.setflags(write=False)
@@ -213,14 +227,24 @@ def _joined_nodes(domain: str):
     return fields, tuple(itertools.accumulate((len(nodes[0]) for nodes in levels), initial=0))
 
 
-def _contributions(f: Callable, nodes) -> np.ndarray:
-    """Weighted integrand values at the nodes, non-finite ones set to 0."""
+def _contributions(f: Callable, live: list, nodes) -> np.ndarray:
+    """Weighted integrand values of the rows ``live`` at the nodes, one row
+    each: an array of shape (len(live), len(nodes[0]))."""
     import numpy as np
 
     *args, w = nodes
-    contrib = np.asarray(f(*args), dtype=float) * w  # a fresh array
-    contrib[~np.isfinite(contrib)] = 0.0
-    return contrib
+    return np.asarray(f(live, *args), dtype=float).reshape(len(live), -1) * w
+
+
+def _masked_sums(block: np.ndarray, sums: list[float]) -> list[float]:
+    """``sums``, the row sums of ``block``, with each row whose sum is not
+    finite summed again with its non-finite entries taken as 0.  A sum of
+    finite terms is finite, so only such a row can hold a non-finite term."""
+    import numpy as np
+
+    return [total if math.isfinite(total)
+            else float(np.add.reduce(np.where(np.isfinite(row), row, 0.0)))
+            for total, row in zip(sums, block)]
 
 
 @dataclass(frozen=True)
@@ -238,44 +262,99 @@ class QuadratureResult:
         return self.value
 
 
-def de_integral(f: Callable, domain: str = "unit", target: float = TARGET,
-                level_cap: int = _LEVEL_CAP) -> QuadratureResult:
-    """Double-exponential quadrature.
+def de_rows(f: Callable, rows: int, domain: str = "unit", target: float = TARGET,
+            level_cap: int = _LEVEL_CAP) -> list[QuadratureResult]:
+    """Double-exponential quadrature of ``rows`` integrands in one pass.
 
-    domain "unit": integral over (0, 1); ``f(x, one_minus_x)`` must accept
-    numpy arrays.  domain "halfline": integral over (0, inf); ``f(x)``.
+    ``f(live, x, one_minus_x)`` (domain "unit", an integral over (0, 1)) or
+    ``f(live, x)`` (domain "halfline", over (0, inf)) returns the values of
+    the integrands whose row indices are in the list ``live`` at the node
+    array ``x``: an array of shape (len(live), len(x)), or (len(live), 1)
+    for values constant in x.  Each row must be elementwise (each output
+    depends only on its own node).  Rows share every node array and every
+    call of ``f``; a row's result equals ``de_integral`` of that row alone,
+    because each row sums its own contributions and stops at its own level.
+
     Levels double the node density until successive estimates differ by at
     most ``target`` (absolutely, or relatively for large values), from level
-    2 up to ``level_cap``.  ``f`` must be elementwise (each output depends
-    only on its own node; a scalar is fine): levels 0-3 are evaluated in one
+    2 up to ``level_cap``.  Levels 0.._JOINED[domain] are evaluated in one
     call on their joined nodes, inside ``np.errstate(all="ignore")``, and
-    each later level in a call of its own.
+    each later level in a call of its own on the rows not yet stopped.
     """
     import numpy as np
 
     check_tolerance(target, "target")
-    if domain not in ("unit", "halfline"):
+    if rows < 1:
+        raise ValueError(f"rows must be at least 1, got {rows!r}")
+    if domain not in _JOINED:
         raise ValueError("domain must be 'unit' or 'halfline'")
     if level_cap < 2:
         raise ValueError(f"level_cap must be at least 2, got {level_cap!r}")
-    total = 0.0
-    err = math.inf
+    joined = _JOINED[domain]
+    out: list = [None] * rows
+    total = [0.0] * rows  # each row's estimate at the last level it summed
+    err = [math.inf] * rows
+    live = list(range(rows))
     with np.errstate(all="ignore"):
         nodes, cuts = _joined_nodes(domain)
-        joined = _contributions(f, nodes)
+        order = live  # the rows of vals, in order
+        vals = _contributions(f, order, nodes)
         for level in range(level_cap + 1):
-            if level <= _JOINED:
-                piece = float(np.add.reduce(joined[cuts[level]:cuts[level + 1]]))
+            if level <= joined:
+                block = vals[:, cuts[level]:cuts[level + 1]]
             else:
-                piece = float(np.add.reduce(_contributions(f, _level_nodes(domain, level))))
+                order = live
+                block = _contributions(f, order, _level_nodes(domain, level))
+            # each row summed along the last axis as a 1-D array of its own
+            pieces = np.add.reduce(block, 1).tolist()
+            if not math.isfinite(sum(pieces)):
+                pieces = _masked_sums(block, pieces)
             h = 0.5 ** level
-            total = 0.5 * total + piece * h
-            if level >= 2:
-                err = abs(total - prev)
-                if err <= target * max(1.0, abs(total)):
-                    return QuadratureResult(total, err, level, True)
-            prev = total
-    return QuadratureResult(total, err, level_cap, False)
+            still = []
+            for i, piece in zip(order, pieces):
+                if out[i] is not None:
+                    continue
+                t = 0.5 * total[i] + piece * h
+                if level >= 2:
+                    err[i] = e = abs(t - total[i])
+                    if e <= target * max(1.0, abs(t)):
+                        out[i] = QuadratureResult(t, e, level, True)
+                        continue
+                total[i] = t
+                still.append(i)
+            live = still
+            if not live:
+                return out
+    for i in live:
+        out[i] = QuadratureResult(total[i], err[i], level_cap, False)
+    return out
+
+
+def de_integral(f: Callable, domain: str = "unit", target: float = TARGET,
+                level_cap: int = _LEVEL_CAP) -> QuadratureResult:
+    """Double-exponential quadrature of one integrand: ``de_rows`` with one
+    row.  domain "unit": integral over (0, 1); ``f(x, one_minus_x)`` must
+    accept numpy arrays.  domain "halfline": integral over (0, inf);
+    ``f(x)``.  ``f`` must be elementwise; a scalar is fine."""
+    return de_rows(lambda live, *args: f(*args), 1, domain, target, level_cap)[0]
+
+
+def _power_binomial(x: np.ndarray, cx: np.ndarray, r: float, p: float, q: float,
+                    alpha1, beta, gamma_exp, with_beta: bool, with_gamma: bool) -> np.ndarray:
+    """x^alpha1 (1 - x^r)^beta (p + q x^r)^gamma_exp at the nodes, for
+    floats alpha1 = alpha - 1, beta and gamma_exp or for columns of them,
+    one row each.  The (1 - x^r)^beta factor is taken only ``with_beta``,
+    and the (p + q x^r)^gamma_exp factor only ``with_gamma``."""
+    import numpy as np
+
+    lx = _node_log(x, cx)
+    rlx = r * lx
+    out = alpha1 * lx
+    if with_beta:
+        out = out + beta * np.log(-np.expm1(rlx))
+    if with_gamma:
+        out = out + gamma_exp * np.log(p + q * np.exp(rlx))
+    return np.exp(out)
 
 
 @dataclass(frozen=True)
@@ -283,9 +362,10 @@ class PowerBinomialIntegrand:
     """x^(alpha-1) (1 - x^r)^beta (p + q x^r)^gamma_exp on (0, 1).
 
     Covers the square-root kernels (q = 0, beta = -1/2), the reciprocal
-    kernels 1/(1+x^r) (gamma_exp = -1, p = q = 1) and the binomial-weight
-    family.  alpha > 0 and beta > -1 keep both endpoints integrable; p and q
-    must keep p + q x^r positive on (0, 1).
+    kernels 1/(1+x^r) (beta = 0, gamma_exp = -1, p = q = 1) and the
+    binomial-weight family.  alpha > 0 and beta > -1 keep both endpoints
+    integrable; p and q must keep p + q x^r positive on (0, 1).  A factor
+    whose exponent is 0 is not computed.
     """
 
     alpha: float
@@ -308,18 +388,48 @@ class PowerBinomialIntegrand:
             raise ValueError("p + q x^r must stay positive on (0, 1)")
 
     def __call__(self, x: np.ndarray, cx: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        lx = _node_log(x, cx)
-        rlx = self.r * lx
-        one_minus_xr = -np.expm1(rlx)
-        out = (self.alpha - 1.0) * lx + self.beta * np.log(one_minus_xr)
-        if self.gamma_exp != 0.0:
-            out = out + self.gamma_exp * np.log(self.p + self.q * np.exp(rlx))
-        return np.exp(out)
+        return _power_binomial(x, cx, self.r, self.p, self.q, self.alpha - 1.0, self.beta,
+                               self.gamma_exp, self.beta != 0.0, self.gamma_exp != 0.0)
 
     def integral(self) -> float:
         return de_integral(self, "unit").checked("power-binomial integral")
+
+
+def _power_binomial_rows(integrands: list[PowerBinomialIntegrand]) -> Callable:
+    """The ``de_rows`` row function of power-binomial integrands that share
+    r, p and q: the factors of x that depend only on those are computed once
+    a call for all rows, and rows whose beta and gamma_exp are zero in the
+    same places are evaluated together, each as its integrand would be."""
+    import numpy as np
+
+    r, p, q = integrands[0].r, integrands[0].p, integrands[0].q
+    if any((f.r, f.p, f.q) != (r, p, q) for f in integrands):
+        raise ValueError("row-wise power-binomial integrands must share r, p and q")
+    # alpha - 1, beta and gamma_exp, each a column with one row per integrand
+    cols = np.array([[f.alpha - 1.0 for f in integrands], [f.beta for f in integrands],
+                     [f.gamma_exp for f in integrands]])[:, :, None]
+    kinds = [(f.beta != 0.0, f.gamma_exp != 0.0) for f in integrands]
+    one_kind = len(set(kinds)) == 1
+
+    def f(live: list, x: np.ndarray, cx: np.ndarray) -> np.ndarray:
+        sel = cols if len(live) == len(kinds) else cols[:, live]
+        if one_kind:
+            return _power_binomial(x, cx, r, p, q, *sel, *kinds[0])
+        out = np.empty((len(live), len(x)))
+        for kind in set(kinds[i] for i in live):
+            js = [j for j, i in enumerate(live) if kinds[i] == kind]
+            out[js] = _power_binomial(x, cx, r, p, q, *sel[:, js], *kind)
+        return out
+
+    return f
+
+
+def power_binomial_integrals(integrands: list[PowerBinomialIntegrand]) -> list[float]:
+    """``[f.integral() for f in integrands]``, bit for bit, from one
+    ``de_rows`` pass; the integrands must share r, p and q.  Raises
+    ``QuadratureError`` for the first integral that did not converge."""
+    return [res.checked("power-binomial integral")
+            for res in de_rows(_power_binomial_rows(integrands), len(integrands))]
 
 
 def reciprocal_kernel_integral(h: float, r: float) -> float:
@@ -333,11 +443,15 @@ def reciprocal_kernel_integral(h: float, r: float) -> float:
                                   p=1.0, q=1.0).integral()
 
 
-def gaussian_tail_integral(e: float, alpha: float, b: float) -> float:
-    """Integral over (0, inf) of R^e exp(-(2 b R + R^2) / (2 alpha)) dR."""
-    _check_finite(e=e, alpha=alpha, b=b)
-    if e <= -1:
-        raise ValueError("e must exceed -1")
+def gaussian_tail_integrals(es: list[float], alpha: float, b: float) -> list[float]:
+    """Integral over (0, inf) of R^e exp(-(2 b R + R^2) / (2 alpha)) dR for
+    each e of ``es``, from one ``de_rows`` pass; log R and the exponent's
+    quadratic are computed once for all rows."""
+    _check_finite(alpha=alpha, b=b)
+    for e in es:
+        _check_finite(e=e)
+        if e <= -1:
+            raise ValueError("e must exceed -1")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if b < 0:
@@ -345,11 +459,17 @@ def gaussian_tail_integral(e: float, alpha: float, b: float) -> float:
     import numpy as np
 
     inv = 0.5 / alpha
+    e_col = np.array(es)[:, None]
 
-    def f(x: np.ndarray) -> np.ndarray:
-        return np.exp(e * np.log(x) - (2.0 * b * x + x * x) * inv)
+    def f(live: list, x: np.ndarray) -> np.ndarray:
+        return np.exp(e_col[live] * np.log(x) - (2.0 * b * x + x * x) * inv)
 
-    return de_integral(f, "halfline").checked("gaussian tail integral")
+    return [res.checked("gaussian tail integral") for res in de_rows(f, len(es), "halfline")]
+
+
+def gaussian_tail_integral(e: float, alpha: float, b: float) -> float:
+    """Integral over (0, inf) of R^e exp(-(2 b R + R^2) / (2 alpha)) dR."""
+    return gaussian_tail_integrals([e], alpha, b)[0]
 
 
 def contiguous_relation_check(m: float, n: float, kappa_exp: float,
@@ -365,7 +485,7 @@ def contiguous_relation_check(m: float, n: float, kappa_exp: float,
     for the coefficient assignment alpha = p, beta = p - q, gamma = q,
     a = m p / r, c = m q / r + n q + (kappa+2) q,
     b = m (p-q)/r + (n+1) p - (kappa+1) q.  Returns |LHS - RHS| for
-    nu = 0..nu_max, every moment evaluated by tanh-sinh quadrature.
+    nu = 0..nu_max, all moments evaluated in one row-wise tanh-sinh pass.
     """
     _check_finite(m=m, n=n, kappa_exp=kappa_exp, p=p, q=q, r=r)
     if m <= 0 or n <= -1:
@@ -376,11 +496,9 @@ def contiguous_relation_check(m: float, n: float, kappa_exp: float,
     a_c = m * p / r
     c_c = m * q / r + n * q + (kappa_exp + 2.0) * q
     b_c = m * (p - q) / r + (n + 1.0) * p - (kappa_exp + 1.0) * q
-    moments = [
-        PowerBinomialIntegrand(alpha=m + r * nu, r=r, beta=n,
-                               gamma_exp=kappa_exp, p=p, q=q).integral()
-        for nu in range(nu_max + 3)
-    ]
+    moments = power_binomial_integrals([
+        PowerBinomialIntegrand(alpha=m + r * nu, r=r, beta=n, gamma_exp=kappa_exp, p=p, q=q)
+        for nu in range(nu_max + 3)])
     return [
         abs((a_c + nu * alpha_c) * moments[nu]
             - (b_c + nu * beta_c) * moments[nu + 1]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contfrac import quadrature
 from contfrac.quadrature import (
@@ -11,12 +13,16 @@ from contfrac.quadrature import (
     beta,
     contiguous_relation_check,
     _halfline_nodes,
+    _power_binomial_rows,
     _joined_nodes,
     _level_nodes,
     _unit_nodes,
     de_integral,
+    de_rows,
     gaussian_tail_integral,
+    gaussian_tail_integrals,
     log_gamma,
+    power_binomial_integrals,
     reciprocal_kernel_integral,
     sqrt_kernel_integral,
 )
@@ -204,7 +210,9 @@ def test_joined_levels_equal_level_by_level_evaluation(rng, level_cap):
 
 @pytest.mark.parametrize("domain", ["unit", "halfline"])
 @pytest.mark.parametrize("level_cap", [2, 3, 4, 6])
-def test_levels_0_to_3_take_one_integrand_call(domain, level_cap):
+def test_joined_levels_take_one_integrand_call(domain, level_cap):
+    # levels 0-4 on the unit interval and 0-5 on the half line
+    joined = quadrature._JOINED[domain]
     seen = []
 
     def counted(x, *rest):
@@ -214,9 +222,9 @@ def test_levels_0_to_3_take_one_integrand_call(domain, level_cap):
     for target in (1e-4, 1e-8, 1e-13):
         seen.clear()
         res = de_integral(counted, domain, target, level_cap)
-        assert len(seen) == 1 + max(0, res.levels_used - 3)
+        assert len(seen) == 1 + max(0, res.levels_used - joined)
         assert sum(seen) == sum(len(_level_nodes(domain, level)[0])
-                                for level in range(max(res.levels_used, 3) + 1))
+                                for level in range(max(res.levels_used, joined) + 1))
 
 
 def _non_finite_at_the_ends(x, cx):
@@ -250,6 +258,105 @@ def test_masking_writes_only_into_its_own_product_array(level_cap):
     for nodes, copies in zip(cached, before):
         for a, copy in zip(nodes, copies):
             assert np.array_equal(a, copy)
+
+
+# ------------------------------------------------------------ row-wise integrals
+
+_TARGETS = st.sampled_from([1e-6, 1e-11, 1e-14])
+_LEVEL_CAPS = st.sampled_from([2, 3, 4, 5, 6, 12])
+
+
+@st.composite
+def power_binomial_rows(draw):
+    """1-5 integrands sharing r, p and q, with their own alpha, beta
+    (sometimes 0, as the reciprocal kernels have it) and gamma_exp."""
+    r, p = draw(st.floats(0.2, 4.0)), draw(st.floats(0.5, 2.0))
+    q = draw(st.floats(-0.45, 2.0))
+    exponents = st.tuples(st.floats(0.05, 6.0),
+                          st.one_of(st.just(0.0), st.floats(-0.95, 3.0)),
+                          st.one_of(st.just(0.0), st.floats(-2.0, 2.0)))
+    return [PowerBinomialIntegrand(alpha, r, b, g, p, q)
+            for alpha, b, g in draw(st.lists(exponents, min_size=1, max_size=5))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(power_binomial_rows(), _TARGETS, _LEVEL_CAPS)
+def test_power_binomial_rows_equal_their_single_integrals(integrands, target, level_cap):
+    # == on every field: value, error_estimate, levels_used, converged
+    rows = de_rows(_power_binomial_rows(integrands), len(integrands), "unit", target, level_cap)
+    assert rows == [de_integral(f, "unit", target, level_cap) for f in integrands]
+
+
+def test_rows_stop_at_their_own_levels_and_take_their_own_exponents():
+    # the c side of a permutation check has its own beta and gamma_exp, and
+    # a zero beta skips that factor in its row alone
+    integrands = [PowerBinomialIntegrand(2.5, 1.0, 0.5, -1.5, 1.0, 0.5),
+                  PowerBinomialIntegrand(0.3, 1.0, -0.9, 0.0, 1.0, 0.5),
+                  PowerBinomialIntegrand(4.0, 1.0, 0.0, 0.75, 1.0, 0.5)]
+    rows = de_rows(_power_binomial_rows(integrands), 3)
+    assert rows == [de_integral(f) for f in integrands]
+    assert len({r.levels_used for r in rows}) > 1
+    assert power_binomial_integrals(integrands) == [f.integral() for f in integrands]
+    with pytest.raises(ValueError, match="share r, p and q"):
+        power_binomial_integrals([integrands[0], PowerBinomialIntegrand(1.0, 2.0, 0.0)])
+
+
+def test_de_rows_rejects_an_empty_row_set():
+    with pytest.raises(ValueError, match="rows must be at least 1"):
+        de_rows(lambda live, x, cx: x, 0)
+
+
+#: elementwise integrands of both domains, some with NaN or inf at far nodes
+#: and one that diverges (1/x), as (domain, one-row function)
+_SINGLES = {
+    "unit": [lambda x, cx: x, _non_finite_at_the_ends, lambda x, cx: 1.0 / x,
+             lambda x, cx: 1.0 / np.sqrt(x * cx), lambda x, cx: np.log(x) * np.log(cx)],
+    "halfline": [lambda x: np.exp(-x), lambda x: np.where(x > 1e3, np.inf, np.exp(-x * x)),
+                 lambda x: np.exp(-x) * np.nan ** (x > 1e5), lambda x: 1.0 / (1.0 + x * x)],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_SINGLES)), st.data(), _TARGETS, _LEVEL_CAPS)
+def test_generic_rows_equal_their_single_integrals(domain, data, target, level_cap):
+    picks = data.draw(st.lists(st.sampled_from(_SINGLES[domain]), min_size=1, max_size=5))
+
+    def rows(live, *args):
+        return np.stack([np.broadcast_to(picks[i](*args), args[0].shape) for i in live])
+
+    assert de_rows(rows, len(picks), domain, target, level_cap) == \
+        [de_integral(f, domain, target, level_cap) for f in picks]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-0.9, 4.0), min_size=1, max_size=5), st.floats(0.05, 1.0),
+       st.floats(-3.0, 3.0), st.floats(-0.9, 3.0), _TARGETS, _LEVEL_CAPS)
+def test_exponential_beta_rows_equal_their_single_integrals(us, k, u0, edge, target, level_cap):
+    # F11's integrand: the moments differ in the exponent u of x only
+    u = np.array(us)[:, None]
+
+    def rows(live, x, cx):
+        return np.exp(k * x + u[live] * np.log(x) + edge * np.log(cx))
+
+    singles = [lambda x, cx, ui=ui: np.exp(k * x + ui * np.log(x) + edge * np.log(cx))
+               for ui in us]
+    assert de_rows(rows, len(us), "unit", target, level_cap) == \
+        [de_integral(f, "unit", target, level_cap) for f in singles]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-0.9, 4.0), min_size=1, max_size=5), st.floats(0.1, 5.0),
+       st.floats(0.0, 3.0))
+def test_gaussian_tail_rows_equal_their_single_integrals(es, alpha, b):
+    # F12's integrand, against its one-row closure
+    inv = 0.5 / alpha
+    singles = [de_integral(lambda x, e=e: np.exp(e * np.log(x) - (2.0 * b * x + x * x) * inv),
+                           "halfline") for e in es]
+    if all(s.converged for s in singles):
+        assert gaussian_tail_integrals(es, alpha, b) == [s.value for s in singles]
+    else:
+        with pytest.raises(QuadratureError):
+            gaussian_tail_integrals(es, alpha, b)
 
 
 def _power_binomials(rng):

@@ -34,6 +34,10 @@ GOLDEN = json.loads((DATA / "golden_terms.json").read_text())
 # at budgets on both sides of chunk edges, signed and divergent points, zero
 # numerators and denominators, underflow, overflow and large coefficients
 GOLDEN_EVAL = json.loads((DATA / "golden_eval.json").read_text())["cases"]
+# TermSpecs as catalog.make_cf built them when every Poly operation reduced
+# its result: 25 seeded draws of each sampled family, the fixed cases and
+# chain letters, each part as a repr or decimal string
+GOLDEN_SPECS = json.loads((DATA / "golden_specs.json").read_text())
 
 
 def generic(cf):
@@ -78,6 +82,40 @@ def test_chain_spec_streams_reproduce_golden_terms(entry):
     cf = catalog._chain_cf(*(F(x) for x in entry["point"]), entry["shift"], entry["kappa_sign"])
     assert cf.leading == F(entry["leading"])
     assert exact(cf.take(12)) == exact(entry["terms"])
+
+
+def spec_record(spec):
+    return {"leading": repr(spec.leading),
+            "head": [[repr(b), repr(a)] for b, a in spec.head],
+            "b": [[str(c) for c in spec.b.ints], str(spec.b.den)],
+            "a": [[str(c) for c in spec.a.ints], str(spec.a.den)]}
+
+
+@pytest.mark.parametrize("family", catalog.family_ids())
+def test_family_specs_match_golden_builds(family):
+    entries = [e for e in GOLDEN_SPECS["families"] if e["family"] == family]
+    assert entries
+    for e in entries:
+        spec = catalog.make_cf(family, {k: F(v) for k, v in e["params"].items()}).spec
+        assert spec_record(spec) == e["spec"], e["params"]
+
+
+def test_chain_specs_match_golden_builds():
+    for e in GOLDEN_SPECS["chain"]:
+        cf = catalog._chain_cf(*(F(x) for x in e["point"]), e["shift"], e["kappa_sign"])
+        assert spec_record(cf.spec) == e["spec"], e
+
+
+def test_poly_arithmetic_defers_normalisation_to_the_spec():
+    p = (F(1, 2) * K + F(1, 2)) * 2 - K * 0
+    assert (p.ints, p.den) == ((2, 2), 2) and p == K + 1 and p != K + 2
+    assert hash(p) == hash(K + 1)
+    spec = TermSpec(p - K, [(Poly((0, 3), 6), 2 * K - 2 * K + F(4, 6))], p, 2 * K - 2 * K)
+    assert (spec.leading, spec.head) == (F(1), ((F(1, 2), F(2, 3)),))
+    assert (spec.b.ints, spec.b.den, spec.a.ints, spec.a.den) == ((1, 1), 1, (0,), 1)
+    assert type(spec.head[0][0]) is F and type(spec.leading) is F
+    with pytest.raises(ValueError, match="constant"):
+        TermSpec(K, [], 1, 1)
 
 
 # ------------------------------------------------------------ bit-identical evaluation
