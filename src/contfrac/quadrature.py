@@ -310,18 +310,20 @@ def de_rows(f: Callable, rows: int, domain: str = "unit", target: float = TARGET
             if not math.isfinite(sum(pieces)):
                 pieces = _masked_sums(block, pieces)
             h = 0.5 ** level
+            if level < 2:  # the stopping test compares levels 1 and 2 first
+                for i, piece in zip(order, pieces):
+                    total[i] = 0.5 * total[i] + piece * h
+                continue
             still = []
             for i, piece in zip(order, pieces):
-                if out[i] is not None:
-                    continue
-                t = 0.5 * total[i] + piece * h
-                if level >= 2:
-                    err[i] = e = abs(t - total[i])
+                if out[i] is None:
+                    prev = total[i]
+                    t = total[i] = 0.5 * prev + piece * h
+                    e = err[i] = abs(t - prev)
                     if e <= target * max(1.0, abs(t)):
                         out[i] = QuadratureResult(t, e, level, True)
-                        continue
-                total[i] = t
-                still.append(i)
+                    else:
+                        still.append(i)
             live = still
             if not live:
                 return out
@@ -403,13 +405,13 @@ def _power_binomial_rows(integrands: list[PowerBinomialIntegrand]) -> Callable:
     import numpy as np
 
     r, p, q = integrands[0].r, integrands[0].p, integrands[0].q
-    if any((f.r, f.p, f.q) != (r, p, q) for f in integrands):
+    if any(f.r != r or f.p != p or f.q != q for f in integrands):
         raise ValueError("row-wise power-binomial integrands must share r, p and q")
     # alpha - 1, beta and gamma_exp, each a column with one row per integrand
     cols = np.array([[f.alpha - 1.0 for f in integrands], [f.beta for f in integrands],
                      [f.gamma_exp for f in integrands]])[:, :, None]
     kinds = [(f.beta != 0.0, f.gamma_exp != 0.0) for f in integrands]
-    one_kind = len(set(kinds)) == 1
+    one_kind = kinds.count(kinds[0]) == len(kinds)
 
     def f(live: list, x: np.ndarray, cx: np.ndarray) -> np.ndarray:
         sel = cols if len(live) == len(kinds) else cols[:, live]
