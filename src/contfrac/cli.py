@@ -133,6 +133,7 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--exact", action="store_true",
                         help="also print the exact convergents up to the term budget")
     p_eval.add_argument("--json", action="store_true")
+    p_eval.set_defaults(handler=_cmd_eval)
 
     p_conv = sub.add_parser("convert", help="series <-> continued fraction")
     conv_sub = p_conv.add_subparsers(dest="direction", required=True)
@@ -141,17 +142,20 @@ def _build_parser() -> _Parser:
     p_s2c.add_argument("--denominators", required=True, help="comma-separated rationals")
     p_s2c.add_argument("--depth", type=_positive_int, default=None)
     p_s2c.add_argument("--json", action="store_true")
+    p_s2c.set_defaults(handler=_cmd_convert_s2c)
     p_c2s = conv_sub.add_parser("cf-to-series")
     p_c2s.add_argument("--family", required=True)
     p_c2s.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
     p_c2s.add_argument("--depth", type=_positive_int, default=10)
     p_c2s.add_argument("--json", action="store_true")
+    p_c2s.set_defaults(handler=_cmd_convert_c2s)
 
     p_ver = sub.add_parser("verify", help="verify identity cases (JSON lines)")
     p_ver.add_argument("--manifest", default=None,
                        help="JSON manifest; defaults to the built-in catalog suite")
     p_ver.add_argument("--family", default=None, help="run only this family's cases")
     p_ver.add_argument("--jobs", type=_positive_int, default=1)
+    p_ver.set_defaults(handler=_cmd_verify)
 
     p_ric = sub.add_parser("riccati", help="fraction vs. the Riccati equation's series solution")
     p_ric.add_argument("--a", required=True)
@@ -161,6 +165,7 @@ def _build_parser() -> _Parser:
     p_ric.add_argument("--depth", type=_positive_int, default=80)
     p_ric.add_argument("--tol", type=_tolerance, default=1e-8)
     p_ric.add_argument("--json", action="store_true")
+    p_ric.set_defaults(handler=_cmd_riccati)
 
     return parser
 
@@ -231,11 +236,8 @@ def _cmd_eval(args) -> int:
             with _unlimited_int_digits():
                 for c in exact:
                     print(f"  v_{c.index} = {c.value}")
-    if rep.status in (EvalStatus.CONVERGED, EvalStatus.TERMINATED_FINITE):
-        return EX_OK
-    if rep.status is EvalStatus.BUDGET_EXHAUSTED:
-        return EX_BUDGET
-    return EX_DIVERGENT
+    return {EvalStatus.CONVERGED: EX_OK, EvalStatus.TERMINATED_FINITE: EX_OK,
+            EvalStatus.BUDGET_EXHAUSTED: EX_BUDGET}.get(rep.status, EX_DIVERGENT)
 
 
 # ---------------------------------------------------------------- convert
@@ -245,6 +247,22 @@ def _parse_rat_list(text: str, what: str) -> list[Fraction]:
     if not items:
         raise _UsageError(f"empty {what} list")
     return [_parse_rational(chunk) for chunk in items]
+
+
+def _print_exact(as_json: bool, items, to_json, to_text, warning: Optional[str]) -> int:
+    """Print exact values with the int-to-str digit limit lifted, as one JSON
+    array or one per line; then a partial result's warning on stderr and exit
+    2, else exit 0."""
+    with _unlimited_int_digits():
+        if as_json:
+            print(json.dumps([to_json(x) for x in items]))
+        else:
+            for x in items:
+                print(to_text(x))
+    if warning is not None:
+        print(f"warning: {warning}", file=sys.stderr)
+        return EX_BUDGET
+    return EX_OK
 
 
 def _cmd_convert_s2c(args) -> int:
@@ -259,18 +277,10 @@ def _cmd_convert_s2c(args) -> int:
             collected.append(t)
     except ZeroPivotError as exc:
         warning = str(exc)
-    with _unlimited_int_digits():
-        if args.json:
-            print(json.dumps([{"numerator": _rat_json(Fraction(t.numerator)),
-                               "denominator": _rat_json(Fraction(t.denominator))}
-                              for t in collected]))
-        else:
-            for t in collected:
-                print(f"{t.numerator}\t{t.denominator}")
-    if warning is not None:
-        print(f"warning: {warning}", file=sys.stderr)
-        return EX_BUDGET
-    return EX_OK
+    return _print_exact(args.json, collected,
+                        lambda t: {"numerator": _rat_json(Fraction(t.numerator)),
+                                   "denominator": _rat_json(Fraction(t.denominator))},
+                        lambda t: f"{t.numerator}\t{t.denominator}", warning)
 
 
 def _cmd_convert_c2s(args) -> int:
@@ -281,16 +291,7 @@ def _cmd_convert_c2s(args) -> int:
     except ZeroContinuantError as exc:
         terms = exc.partial
         warning = str(exc)
-    with _unlimited_int_digits():
-        if args.json:
-            print(json.dumps([_rat_json(t) for t in terms]))
-        else:
-            for t in terms:
-                print(t)
-    if warning is not None:
-        print(f"warning: {warning}", file=sys.stderr)
-        return EX_BUDGET
-    return EX_OK
+    return _print_exact(args.json, terms, _rat_json, str, warning)
 
 
 # ---------------------------------------------------------------- verify
@@ -421,6 +422,7 @@ def _cmd_riccati(args) -> int:
             "eval_status": rep.eval_status.value,
             "stop": rep.stop.value,
             "verdict": rep.status.value,
+            "detail": rep.detail,
         }))
     else:
         print(f"cf value   {_fmt(rep.cf_value)}")
@@ -432,27 +434,17 @@ def _cmd_riccati(args) -> int:
         print(f"status     {rep.eval_status.value}")
         print(f"stop       {rep.stop.value}")
         print(f"verdict    {rep.status.value}")
+        if rep.detail:
+            print(f"detail     {rep.detail}")
     return {VerifyStatus.PASS: EX_OK, VerifyStatus.INCONCLUSIVE: EX_BUDGET,
             VerifyStatus.DIVERGENT: EX_DIVERGENT}.get(rep.status, EX_FAIL)
-
-
-def _run(args) -> int:
-    if args.command == "eval":
-        return _cmd_eval(args)
-    if args.command == "convert":
-        if args.direction == "series-to-cf":
-            return _cmd_convert_s2c(args)
-        return _cmd_convert_c2s(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    return _cmd_riccati(args)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        code = _run(args)
+        code = args.handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
     except _UsageError as exc:

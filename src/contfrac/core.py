@@ -719,6 +719,20 @@ def _estimate(lead: float, v_pp: Optional[float], v_prev: Optional[float]):
     return 0.5 * (lo + hi), lo, hi
 
 
+def _rescaled(p: float, q: float, p_prev: float, q_prev: float, renorms: int):
+    """(p, q, p_prev, q_prev, renorms) scaled by 2^-512 when their largest
+    magnitude is above 2^512, or by 2^512 when it is below 2^-512 and not 0,
+    with renorms counting the step; unchanged otherwise, NaN included."""
+    mag = max(abs(p), abs(q), abs(p_prev), abs(q_prev))
+    if mag > _RENORM_LIMIT:
+        s = _RENORM_SCALE
+    elif 0.0 < mag < _RENORM_SCALE:
+        s = _RENORM_LIMIT
+    else:
+        return p, q, p_prev, q_prev, renorms
+    return p * s, q * s, p_prev * s, q_prev * s, renorms + 1
+
+
 def eval_float(cf: ContinuedFraction, tol: float, max_terms: int) -> EvalReport:
     """Evaluate in floating point with renormalised forward recurrences.
 
@@ -735,17 +749,17 @@ def eval_float(cf: ContinuedFraction, tol: float, max_terms: int) -> EvalReport:
       is flagged divergent (``divergence-window``).
 
     Both loops make the same float operations and the same rescaling
-    decisions; the positive loop only tests less, because its terms are
-    positive.  A zero partial numerator terminates the fraction exactly
-    (``zero-numerator``); running out of terms reports the final convergent
-    (``stream-end``), or the bracket or estimate so far once ``max_terms``
-    terms are read (``budget``).  A zero partial denominator is a legal
-    term, which is not positive.  The recurrence continues through an
-    undefined convergent (q_k = 0); the positive loop skips it, and the
-    signed loop counts it as infinite, so the differences on both sides of
-    it are neither small nor contracting, and the value reported is the last
-    defined convergent.  ``renorms`` counts the rescalings of p, q and their
-    predecessors by 2^512 or 2^-512.
+    decisions, in ``_rescaled``; the positive loop only tests less, because
+    its terms are positive.  A zero partial numerator terminates the
+    fraction exactly (``zero-numerator``); running out of terms reports the
+    final convergent (``stream-end``), or the bracket or estimate so far
+    once ``max_terms`` terms are read (``budget``).  A zero partial
+    denominator is a legal term, which is not positive.  The recurrence
+    continues through an undefined convergent (q_k = 0); the positive loop
+    skips it, and the signed loop counts it as infinite, so the differences
+    on both sides of it are neither small nor contracting, and the value
+    reported is the last defined convergent.  ``renorms`` counts the
+    rescalings of p, q and their predecessors by 2^512 or 2^-512.
 
     Float terms arrive in chunks: from ``_spec_chunks`` for a fraction with
     a ``TermSpec``, else from the exact stream one term at a time.  Both give
@@ -795,19 +809,7 @@ def eval_float(cf: ContinuedFraction, tol: float, max_terms: int) -> EvalReport:
                 # fails this test.  q >= 0 here, and q = 0 takes the full test
                 if not ((small <= p <= big or nbig <= p <= nsmall) and 0.0 < q <= q_cap):
                     q_cap = big
-                    mag = max(abs(p), abs(q), abs(p_prev), abs(q_prev))
-                    if mag > big:
-                        p *= small
-                        q *= small
-                        p_prev *= small
-                        q_prev *= small
-                        renorms += 1
-                    elif 0.0 < mag < small:
-                        p *= big
-                        q *= big
-                        p_prev *= big
-                        q_prev *= big
-                        renorms += 1
+                    p, q, p_prev, q_prev, renorms = _rescaled(p, q, p_prev, q_prev, renorms)
                     if q == 0.0:
                         continue  # undefined convergent, skip
                 v = p / q
@@ -840,19 +842,7 @@ def eval_float(cf: ContinuedFraction, tol: float, max_terms: int) -> EvalReport:
                     # calls (NaN fails every comparison here and gets the full test)
                     if not ((small <= p <= big or nbig <= p <= nsmall) and nbig <= q <= big
                             and nbig <= p_prev <= big and nbig <= q_prev <= big):
-                        mag = max(abs(p), abs(q), abs(p_prev), abs(q_prev))
-                        if mag > big:
-                            p *= small
-                            q *= small
-                            p_prev *= small
-                            q_prev *= small
-                            renorms += 1
-                        elif 0.0 < mag < small:
-                            p *= big
-                            q *= big
-                            p_prev *= big
-                            q_prev *= big
-                            renorms += 1
+                        p, q, p_prev, q_prev, renorms = _rescaled(p, q, p_prev, q_prev, renorms)
                     if q == 0.0:
                         # an undefined convergent is infinite (Jones & Thron
                         # 1980, ch. 2), and so are the differences on both

@@ -226,8 +226,8 @@ class RiccatiReport:
     is absolute for |w| <= 1 and relative above.  A fraction cut off by the
     depth budget without a bracket is inconclusive, however close or far its
     last value.  ``abs_error`` is |cf - ode|, ``stop`` the evaluation's stop
-    reason, ``ode_steps`` the series terms summed and ``ode_est_error`` the
-    series' error bound."""
+    reason, ``ode_steps`` the series terms summed, ``ode_est_error`` the
+    series' error bound and ``detail`` why the verdict is not a pass."""
 
     cf_value: float
     ode_value: float
@@ -240,6 +240,7 @@ class RiccatiReport:
     ode_est_error: float
     status: VerifyStatus
     terminated_depth: Optional[int] = None
+    detail: str = ""
 
     @property
     def passed(self) -> bool:
@@ -251,8 +252,8 @@ def verify_riccati(problem: RiccatiProblem, depth: int, tol: float) -> RiccatiRe
     rep = eval_float(cf_from_riccati(problem), tol / 4.0, depth)
     ode = solve_riccati(problem, tol)
     allowed = tol * max(1.0, abs(ode.w_at_1))
-    status, _ = _verdict(rep, (ode.w_at_1,), allowed)
+    status, detail = _verdict(rep, (ode.w_at_1,), allowed)
     depth_term = (rep.terms_used if rep.status is EvalStatus.TERMINATED_FINITE else None)
     return RiccatiReport(rep.value, ode.w_at_1, abs(rep.value - ode.w_at_1), allowed,
                          rep.terms_used, rep.status, rep.stop, ode.steps, ode.est_error,
-                         status, depth_term)
+                         status, depth_term, detail)

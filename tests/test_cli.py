@@ -541,7 +541,7 @@ def test_riccati_json_line(capsys):
     assert code == EX_OK
     assert set(payload) == {"cf_value", "ode_value", "abs_error", "allowed", "terms",
                             "ode_steps", "ode_est_error", "terminated_depth",
-                            "eval_status", "stop", "verdict"}
+                            "eval_status", "stop", "verdict", "detail"}
     assert {k: payload[k] for k in ("terms", "ode_steps", "terminated_depth",
                                     "eval_status", "stop", "verdict")} == {
         "terms": 20, "ode_steps": 22, "terminated_depth": None,
@@ -597,6 +597,19 @@ def test_riccati_json_flagged_divergence_is_divergent_exit_3(capsys):
     payload = json.loads(out)
     assert code == EX_DIVERGENT
     assert payload["eval_status"] == "divergent-flagged" and payload["verdict"] == "divergent"
+
+
+@pytest.mark.parametrize("argv, code, detail", [
+    (LARGE_RICCATI, EX_OK, ""),
+    (SPENT_RICCATI, EX_BUDGET, "term budget exhausted without a bracket"),
+    (DIVERGENT_RICCATI, EX_DIVERGENT, "oscillation without contraction"),
+], ids=["pass", "inconclusive", "divergent"])
+def test_riccati_detail_says_why_the_verdict_is_not_pass(capsys, argv, code, detail):
+    got, out, _ = run(capsys, *argv, "--json")
+    assert (got, json.loads(out)["detail"]) == (code, detail)
+    got, out, _ = run(capsys, *argv)
+    assert got == code
+    assert (f"detail     {detail}\n" in out) if detail else ("detail" not in out)
 
 
 def test_riccati_zero_depth_and_nan_tolerance_are_usage_errors(capsys):

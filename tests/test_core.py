@@ -256,6 +256,27 @@ def test_renorms_counts_the_rescalings_of_the_plain_test(exponents, negative):
     assert rep.renorms == sum(scaled for _, scaled in plain_recurrence(1, pairs[:rep.terms_used]))
 
 
+@pytest.mark.parametrize("negative", [False, True], ids=["positive", "signed"])
+@pytest.mark.parametrize("p_exp", [None, -520], ids=["p-in-range", "p-tiny"])
+@pytest.mark.parametrize("e, renorms", [(512, 0), (513, 1), (-512, 0), (-513, 1)])
+def test_rescaling_boundary_is_strict_in_both_loops(e, renorms, p_exp, negative):
+    # leading 0 and the terms (+-2^t, 2^(e-1)), (2^(e-1), 1) leave the state
+    # exactly at p, q, p_prev, q_prev = +-2^t, 2^e, +-2^t, 2^(e-1) after term
+    # 2, with t = e - 1 or -520, so its largest magnitude is 2^e, and term 1's
+    # is at most 2^512: 2^512 and 2^-512 are in range, one power of two past
+    # is not.  A tiny p fails the loops' fast range tests, so the rescaling
+    # decides.  A negative first numerator sends both terms through the
+    # signed loop; the smallest tolerance keeps convergents 2^-1031 apart open
+    h = F(2) ** (e - 1)
+    b = F(2) ** (e - 1 if p_exp is None else p_exp)
+    pairs = [(-b if negative else b, h), (h, 1)]
+    rep = eval_float(ContinuedFraction.from_pairs(0, pairs), math.ulp(0.0), 10)
+    plain = list(plain_recurrence(0, pairs))
+    assert rep.stop is EvalStop.STREAM_END and rep.terms_used == 2
+    assert rep.renorms == sum(scaled for _, scaled in plain) == renorms
+    assert rep.value == plain[-1][0] == float((-b if negative else b) / (2 * h))
+
+
 def test_eval_validates_arguments():
     with pytest.raises(ValueError):
         eval_float(log2_cf(), 0.0, 10)

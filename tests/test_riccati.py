@@ -272,6 +272,15 @@ def test_verify_riccati_status_is_the_catalog_verdict(abcm, depth, status):
     assert rep.passed is (status is VerifyStatus.PASS)
 
 
+@pytest.mark.parametrize("abcm, depth, detail", [
+    ((1, 0, 1, 0), 60, ""),
+    ((F(-23, 4), 2, 3, F(17, 4)), 6, "term budget exhausted without a bracket"),
+    ((F(33, 4), F(-17, 2), 1, F(-7, 4)), 2000, "oscillation without contraction"),
+], ids=["pass", "inconclusive", "divergent"])
+def test_verify_riccati_detail_is_the_catalog_verdicts(abcm, depth, detail):
+    assert verify_riccati(RiccatiProblem(*abcm), depth, 1e-8).detail == detail
+
+
 @pytest.mark.parametrize("a, value", [(40, 152.79054353134), (100, 15.423510453570)],
                          ids=["a=40", "a=100"])
 def test_verify_passes_across_a_movable_pole(a, value):
