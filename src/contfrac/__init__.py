@@ -35,8 +35,8 @@ from .quadrature import (
     beta,
     contiguous_relation_check,
     de_integral,
-    gaussian_tail_integral,
-    log_gamma,
+    exponential_beta_integrals,
+    gaussian_tail_integrals,
     reciprocal_kernel_integral,
     sqrt_kernel_integral,
 )

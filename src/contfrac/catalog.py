@@ -77,7 +77,7 @@ from .quadrature import (
     QuadratureError,
     _check_finite,
     de_integral,  # noqa: F401  (the benchmark's tracer wraps catalog.de_integral)
-    de_rows,
+    exponential_beta_integrals,
     gaussian_tail_integrals,
     power_binomial_integrals,
     reciprocal_kernel_integral,
@@ -257,18 +257,9 @@ def _f10_refs(s: Fraction) -> Tuple[float, ...]:
 
 
 def _f11_refs(a: Fraction, alpha: Fraction, b: Fraction, beta: Fraction) -> Tuple[float, ...]:
-    import numpy as np
-
     a, al, b, be = float(a), float(alpha), float(b), float(beta)
-    exp_coeff = al / (be * be)
     edge = (al * al + al * be * b - al * be * be - be * be * a) / (al * be * be)
-    # the exponential-Beta moments at u = a/alpha and a/alpha - 1, one row each
-    u = np.array([[a / al], [a / al - 1.0]])
-
-    def f(live, x, cx):
-        return np.exp(exp_coeff * x + u[live] * np.log(x) + edge * np.log(cx))
-
-    top, bottom = (res.checked("exponential-Beta moment") for res in de_rows(f, 2))
+    top, bottom = exponential_beta_integrals([a / al, a / al - 1.0], al / (be * be), edge)
     return (al / be * top / bottom,)
 
 

@@ -97,8 +97,8 @@ def _parse_params(pairs: Sequence[str]) -> dict[str, Fraction]:
 
 def _positive_int(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    if not 1 <= value <= sys.maxsize:  # no budget past sys.maxsize can be reached
+        raise argparse.ArgumentTypeError(f"expected an integer in [1, {sys.maxsize}], got {value}")
     return value
 
 

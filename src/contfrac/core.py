@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -771,6 +772,7 @@ def eval_float(cf: ContinuedFraction, tol: float, max_terms: int) -> EvalReport:
     check_tolerance(tol)
     if max_terms < 1:
         raise ValueError("max_terms must be positive")
+    max_terms = min(max_terms, sys.maxsize)  # no loop gets further; islice refuses more
 
     lead = float(cf.leading)
     p_prev, q_prev = 1.0, 0.0

@@ -1,7 +1,7 @@
-"""Reference oracles: log-gamma, Beta closed forms, double-exponential quadrature.
+"""Reference oracles: Beta closed forms and double-exponential quadrature.
 
-ln Gamma is the C library's ``math.lgamma``; ``log_gamma`` adds only the
-argument checks.  Every reference quadrature asks for the one accuracy
+Every reference integral of the catalog is computed here, ``beta`` from
+``math.lgamma``.  Every reference quadrature asks for the one accuracy
 ``TARGET`` and reads its result through ``QuadratureResult.checked``, which
 returns the value or raises ``QuadratureError`` with the error estimate.
 
@@ -32,8 +32,8 @@ call of the row function evaluates all rows not yet stopped on the same
 nodes, so factors they share are computed once, and each row sums its own
 contributions and stops at its own level.  ``de_integral`` is its one-row
 case, so a row's result equals ``de_integral`` of that row alone on every
-field.  ``power_binomial_integrals`` and ``gaussian_tail_integrals`` give
-the moment chains of the references this way.
+field.  ``power_binomial_integrals``, ``exponential_beta_integrals`` and
+``gaussian_tail_integrals`` give the moment chains of the references this way.
 
 log x of the unit nodes is computed once per node array, when the cached
 per-level and joined arrays are built.  ``PowerBinomialIntegrand`` looks it
@@ -43,8 +43,8 @@ with equal values, gets a fresh computation.  A single integrand keeps the
 live rows first.
 
 numpy is imported inside each function that makes or reads node arrays, not
-at module level: importing this module, or computing ``log_gamma``, ``beta``
-and ``sqrt_kernel_integral``, does not load it; the first quadrature does.
+at module level: importing this module, or computing ``beta`` and
+``sqrt_kernel_integral``, does not load it; the first quadrature does.
 """
 
 from __future__ import annotations
@@ -78,20 +78,12 @@ def _check_finite(**params: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    _check_finite(x=x)
-    if x <= 0:
-        raise ValueError("log_gamma requires x > 0")
-    return math.lgamma(x)
-
-
 def beta(a: float, b: float) -> float:
     """Beta function B(a, b) for positive arguments."""
     _check_finite(a=a, b=b)
     if a <= 0 or b <= 0:
         raise ValueError("beta requires positive arguments")
-    return math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 def sqrt_kernel_integral(pp: float, r: float) -> float:
@@ -436,11 +428,6 @@ def power_binomial_integrals(integrands: list[PowerBinomialIntegrand]) -> list[f
 
 def reciprocal_kernel_integral(h: float, r: float) -> float:
     """Integral over (0, 1) of x^(h-1) / (1 + x^r) dx."""
-    _check_finite(h=h, r=r)
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if r <= 0:
-        raise ValueError("r must be positive")
     return PowerBinomialIntegrand(alpha=h, r=r, beta=0.0, gamma_exp=-1.0,
                                   p=1.0, q=1.0).integral()
 
@@ -469,9 +456,24 @@ def gaussian_tail_integrals(es: list[float], alpha: float, b: float) -> list[flo
     return [res.checked("gaussian tail integral") for res in de_rows(f, len(es), "halfline")]
 
 
-def gaussian_tail_integral(e: float, alpha: float, b: float) -> float:
-    """Integral over (0, inf) of R^e exp(-(2 b R + R^2) / (2 alpha)) dR."""
-    return gaussian_tail_integrals([e], alpha, b)[0]
+def exponential_beta_integrals(us: list[float], c: float, edge: float) -> list[float]:
+    """Integral over (0, 1) of exp(c x) x^u (1 - x)^edge dx for each u of
+    ``us``, from one ``de_rows`` pass; the rows differ in the exponent u only."""
+    _check_finite(c=c, edge=edge)
+    for u in us:
+        _check_finite(u=u)
+        if u <= -1:
+            raise ValueError("u must exceed -1")
+    if edge <= -1:
+        raise ValueError("edge must exceed -1")
+    import numpy as np
+
+    u_col = np.array(us)[:, None]
+
+    def f(live: list, x: np.ndarray, cx: np.ndarray) -> np.ndarray:
+        return np.exp(c * x + u_col[live] * np.log(x) + edge * np.log(cx))
+
+    return [res.checked("exponential-Beta moment") for res in de_rows(f, len(us))]
 
 
 def contiguous_relation_check(m: float, n: float, kappa_exp: float,

@@ -737,6 +737,17 @@ def test_permutation_theorem_validates_integrability():
         permutation_theorem_check(1, 1, 3, 1, 1, 1)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: IdentityCase("log2", {}, 1e-4, 0), "max_terms must be positive"),
+    (lambda: chain_alpha(3, 1, 1, 1, -1, 1000), "shift must be nonnegative"),
+    # g = 1/2 and c - b + r = 1/2 hold, a - c = -1 does not
+    (lambda: permutation_theorem_check(1, 2.5, 2, 1, 1, 1), "c-side integrability violated"),
+], ids=["case-max-terms-0", "chain-shift-negative", "permutation-c-side"])
+def test_catalog_refusals_name_their_cause(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["a", "b", "c", "r", "p", "q"])
 def test_permutation_theorem_rejects_a_non_finite_argument_by_its_name(name, bad):
@@ -771,7 +782,6 @@ def test_every_quadrature_reference_reports_an_unconverged_integral(case, monkey
         return original(f, rows, domain, 1e-300, 2)
 
     monkeypatch.setattr(quadrature, "de_rows", unconverged)
-    monkeypatch.setattr(catalog, "de_rows", unconverged)
     report = verify(case)
     if _quadrature_backed(case):
         assert report.status is VerifyStatus.UNDEFINED, report

@@ -146,6 +146,47 @@ def test_eval_zero_terms_is_usage_error(capsys):
     assert code == EX_USAGE and "--terms" in err
 
 
+#: every count option, after the arguments its command needs besides
+_COUNT_OPTIONS = {
+    "eval --terms": ["eval", "--family", "brouncker", "--terms"],
+    "series-to-cf --depth": ["convert", "series-to-cf", "--numerators", "1,2",
+                             "--denominators", "1,3", "--depth"],
+    "cf-to-series --depth": ["convert", "cf-to-series", "--family", "brouncker", "--depth"],
+    "verify --jobs": ["verify", "--family", "log2", "--jobs"],
+    "riccati --depth": ["riccati", "--a", "1", "--b", "0", "--c", "1", "--m", "0", "--depth"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_COUNT_OPTIONS.values()), ids=list(_COUNT_OPTIONS))
+def test_a_count_above_sys_maxsize_is_a_usage_error(capsys, argv):
+    # no budget that large can be reached, and itertools.islice refuses one
+    code, out, err = run(capsys, *argv, str(sys.maxsize + 1))
+    assert code == EX_USAGE and out == ""
+    assert err.startswith("usage error:") and f"[1, {sys.maxsize}]" in err
+    assert "islice" not in err
+
+
+def test_eval_takes_a_term_budget_of_sys_maxsize(capsys):
+    code, out, _ = run(capsys, "eval", "--family", "brouncker", "--tol", "1e-3",
+                       "--terms", str(sys.maxsize), "--json")
+    assert code == EX_OK and json.loads(out)["stop"] == "bracket"
+
+
+@pytest.mark.parametrize("argv, manifest, code, message", [
+    (["eval", "--family", "F3", "--param", "s"], None, EX_USAGE,
+     "usage error: --param expects name=value, got 's'"),
+    (["verify", "--manifest"], [{"family": "log2"}, 1], EX_NOINPUT,
+     "error: manifest entry 1: expected an object"),
+], ids=["param-without-equals", "manifest-entry-not-an-object"])
+def test_malformed_input_names_its_fault(tmp_path, capsys, argv, manifest, code, message):
+    if manifest is not None:
+        path = tmp_path / "cases.json"
+        path.write_text(json.dumps(manifest))
+        argv = [*argv, str(path)]
+    got, out, err = run(capsys, *argv)
+    assert (got, out, err) == (code, "", message + "\n")
+
+
 def test_eval_rejects_non_finite_tolerance(capsys):
     for tol in ("nan", "inf", "-1e-6"):
         code, _, err = run(capsys, "eval", "--family", "brouncker", "--tol", tol)

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import pathlib
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -238,7 +239,15 @@ F8_DIVERGENT = make_cf("F8", {"a": F(3, 4), "b": F(9, 4), "c": 2, "r": F(1, 2),
     # a TermSpec stream never ends, so this fraction has only the generic form
     ((ContinuedFraction.from_pairs(1, [(1, 2), (3, 1)]),), 1e-9, 100,
      EvalStop.STREAM_END, EvalStatus.TERMINATED_FINITE),
-], ids=["bracket", "difference", "divergence-window", "budget", "zero-numerator", "stream-end"])
+    # a budget no loop can reach, which itertools.islice refuses; a
+    # denominator of 2^1100 sends the spec to its checked exact stream
+    ((make_cf("brouncker", {}), brouncker_cf()), 1e-4, sys.maxsize + 1,
+     EvalStop.BRACKET, EvalStatus.CONVERGED),
+    ((ContinuedFraction.from_spec(TermSpec(0, (), F(3 ** 700, 2 ** 1100), 1)),
+      ContinuedFraction.from_rule(0, lambda k: (F(3 ** 700, 2 ** 1100), 1))), 1e-4,
+     sys.maxsize + 1, EvalStop.BRACKET, EvalStatus.CONVERGED),
+], ids=["bracket", "difference", "divergence-window", "budget", "zero-numerator", "stream-end",
+        "budget-above-maxsize", "budget-above-maxsize-exact-stream"])
 def test_eval_reports_why_it_stopped(forms, tol, n, stop, status):
     reports = [eval_float(cf, tol, n) for cf in forms]
     assert (reports[0].stop, reports[0].status) == (stop, status)
@@ -275,6 +284,22 @@ def test_rescaling_boundary_is_strict_in_both_loops(e, renorms, p_exp, negative)
     assert rep.stop is EvalStop.STREAM_END and rep.terms_used == 2
     assert rep.renorms == sum(scaled for _, scaled in plain) == renorms
     assert rep.value == plain[-1][0] == float((-b if negative else b) / (2 * h))
+
+
+@pytest.mark.parametrize("pairs", [[(1, 0)], [(1, F(1, 2 ** 100))]], ids=["signed", "positive"])
+def test_rescaling_counts_a_largest_p_prev(pairs):
+    # leading 2^600 is p_prev after term 1 and the state's only magnitude
+    # above 2^512 (p is 1 or 2^500), so p_prev alone makes the step rescale;
+    # the value is the leading term (q = 0) or rounds to it
+    rep = eval_float(ContinuedFraction.from_pairs(2 ** 600, pairs), 1e-300, 1)
+    assert rep.renorms == sum(scaled for _, scaled in plain_recurrence(2 ** 600, pairs)) == 1
+    assert rep.value == 2.0 ** 600
+
+
+@pytest.mark.parametrize("expand", [convergent_sequence, euler_series_expansion])
+def test_expansions_refuse_a_count_below_one(expand):
+    with pytest.raises(ValueError, match="k must be positive"):
+        expand(log2_cf(), 0)
 
 
 def test_eval_validates_arguments():

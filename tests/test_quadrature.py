@@ -19,41 +19,15 @@ from contfrac.quadrature import (
     _unit_nodes,
     de_integral,
     de_rows,
-    gaussian_tail_integral,
+    exponential_beta_integrals,
     gaussian_tail_integrals,
-    log_gamma,
     power_binomial_integrals,
     reciprocal_kernel_integral,
     sqrt_kernel_integral,
 )
 
 
-# ------------------------------------------------------------ log-gamma / beta
-
-def test_log_gamma_special_values():
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), abs=1e-13)
-    assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-13)
-
-
-def test_log_gamma_relative_accuracy_on_band():
-    for x in np.linspace(0.5, 100.0, 397):
-        ours = log_gamma(float(x))
-        ref = math.lgamma(float(x))
-        assert abs(ours - ref) <= 1e-13 * max(1.0, abs(ref))
-
-
-def test_log_gamma_recursion():
-    for x in (0.5, 1.3, 7.0, 42.0):
-        assert abs(log_gamma(x + 1.0) - log_gamma(x) - math.log(x)) < 1e-12
-
-
-def test_log_gamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-    with pytest.raises(ValueError):
-        log_gamma(-1.5)
-
+# ------------------------------------------------------------ beta
 
 def test_beta_values():
     assert beta(1.0, 1.0) == pytest.approx(1.0, abs=1e-13)
@@ -359,6 +333,20 @@ def test_gaussian_tail_rows_equal_their_single_integrals(es, alpha, b):
             gaussian_tail_integrals(es, alpha, b)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-0.9, 4.0), min_size=1, max_size=5), st.floats(-3.0, 3.0),
+       st.floats(-0.95, 3.0))
+def test_exponential_beta_integrals_equal_their_single_integrals(us, c, edge):
+    # F11's integrand, against its one-row closure
+    singles = [de_integral(lambda x, cx, u=u: np.exp(c * x + u * np.log(x) + edge * np.log(cx)))
+               for u in us]
+    if all(s.converged for s in singles):
+        assert exponential_beta_integrals(us, c, edge) == [s.value for s in singles]
+    else:
+        with pytest.raises(QuadratureError):
+            exponential_beta_integrals(us, c, edge)
+
+
 def _power_binomials(rng):
     out = [PowerBinomialIntegrand(alpha=0.4, r=1.0, beta=-0.5),
            PowerBinomialIntegrand(alpha=2.5, r=0.3, beta=1.5, gamma_exp=-1.0, p=1.0, q=1.0)]
@@ -409,17 +397,29 @@ def test_power_binomial_integrand_rejects_non_finite_parameters(name, bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("fn, args", [
-    (gaussian_tail_integral, (1.0, 1.0, 0.0)),
+    (lambda e, alpha, b: gaussian_tail_integrals([e], alpha, b), (1.0, 1.0, 0.0)),
     (sqrt_kernel_integral, (1.0, 1.0)),
     (reciprocal_kernel_integral, (1.0, 1.0)),
     (beta, (1.0, 1.0)),
-    (log_gamma, (1.0,)),
+    (lambda u, c, edge: exponential_beta_integrals([u], c, edge), (1.0, 1.0, 0.0)),
 ], ids=["gaussian_tail_integral", "sqrt_kernel_integral", "reciprocal_kernel_integral",
-        "beta", "log_gamma"])
+        "beta", "exponential_beta_integrals"])
 def test_oracles_reject_non_finite_arguments(fn, args, bad):
     for i in range(len(args)):
         with pytest.raises(ValueError, match="must be finite"):
             fn(*args[:i], bad, *args[i + 1:])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: sqrt_kernel_integral(0, 1), "requires pp > 0 and r > 0"),
+    (lambda: PowerBinomialIntegrand(alpha=1.0, r=0.0, beta=0.0), "r must be positive"),
+    # a non-integrable end of the exponential-Beta moments
+    (lambda: exponential_beta_integrals([0.5, -1.0], 1.0, 0.0), "u must exceed -1"),
+    (lambda: exponential_beta_integrals([0.5], 1.0, -1.0), "edge must exceed -1"),
+], ids=["sqrt-kernel-pp-0", "power-binomial-r-0", "exponential-beta-u", "exponential-beta-edge"])
+def test_oracles_refuse_an_argument_out_of_range(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 # ------------------------------------------------------------ named kernels
@@ -433,23 +433,23 @@ def test_reciprocal_kernel_values():
 
 
 def test_gaussian_tail_values():
-    assert gaussian_tail_integral(1, 1, 0) == pytest.approx(1.0, abs=1e-12)
-    assert gaussian_tail_integral(0, 1, 0) == pytest.approx(math.sqrt(math.pi / 2), abs=1e-12)
+    assert gaussian_tail_integrals([1], 1, 0)[0] == pytest.approx(1.0, abs=1e-12)
+    assert gaussian_tail_integrals([0], 1, 0)[0] == pytest.approx(math.sqrt(math.pi / 2), abs=1e-12)
 
 
 def test_gaussian_tail_with_drift_against_riemann_sum():
     xs = np.linspace(1e-9, 40.0, 2_000_001)
     brute = float(np.trapezoid(np.exp(-(2.0 * xs + xs * xs) / 2.0), xs))
-    assert abs(gaussian_tail_integral(0, 1, 1) - brute) < 1e-8
+    assert abs(gaussian_tail_integrals([0], 1, 1)[0] - brute) < 1e-8
 
 
 def test_gaussian_tail_validation():
     with pytest.raises(ValueError):
-        gaussian_tail_integral(-1.0, 1, 0)
+        gaussian_tail_integrals([-1.0], 1, 0)
     with pytest.raises(ValueError):
-        gaussian_tail_integral(0, 0, 0)
+        gaussian_tail_integrals([0], 0, 0)
     with pytest.raises(ValueError):
-        gaussian_tail_integral(0, 1, -0.5)
+        gaussian_tail_integrals([0], 1, -0.5)
 
 
 # ------------------------------------------------------------ contiguous relation

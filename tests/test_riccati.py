@@ -307,6 +307,18 @@ def test_a_series_that_ends_with_d_zero_is_refused_at_its_end():
         solve_riccati(RiccatiProblem(4, -2, 1, -1), 1e-8)
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: riccati_letters(RiccatiProblem(1, 0, 1, 0), 0), ValueError, "count must be positive"),
+    # the up-front bound lets the series start, but the 10,001 terms the cap
+    # allows do not bring it within the tolerance
+    (lambda: solve_riccati(RiccatiProblem(1, 0, 1, F(1, 9000) - 2), 1e-8), RiccatiDomainError,
+     "after 10001 terms"),
+], ids=["letters-count-0", "series-term-cap"])
+def test_refusals_name_their_cause(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_domain_validation():
     with pytest.raises(RiccatiDomainError):
         RiccatiProblem(1, 0, 1, -3)

@@ -189,6 +189,15 @@ def test_gauss_lemma_small_p_limit():
     assert closed == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: GaussLemmaParams(0, 2, 1), "p must be positive"),
+    (lambda: gauss_sum_check(GaussLemmaParams(1, 2, 1), 0), "n_terms must be positive"),
+], ids=["p-0", "n-terms-0"])
+def test_gauss_lemma_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_gauss_lemma_rejects_q_not_greater_than_p():
     with pytest.raises(ValueError):
         GaussLemmaParams(2, 2, 1)

@@ -53,6 +53,7 @@ def exact(pairs):
 
 def test_poly_arithmetic_and_normal_form():
     assert (K - 1) ** 2 == Poly((1, -2, 1))
+    assert (K - 1) ** 0 == Poly((1,))
     assert (F(3, 2) + (K - 1)) * (F(5, 2) + (K - 1)) == Poly((4, 8, 3), 4)
     assert 2 * K - 2 * K == Poly((0,))
     assert (K * F(2, 4)).den == 2 and (K - 3) * -1 == 3 - K
