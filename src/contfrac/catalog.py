@@ -10,31 +10,9 @@ enclosure.  Without a bracket, a settled evaluation must lie within the case
 tolerance of each reference, and one whose term budget ran out is
 ``inconclusive``.
 
-Parameterized families
-----------------------
-F1       1/(n + n^2/(m + (m+n)^2/(m + (2m+n)^2/(m + ...))))
-         = integral of x^(n-1)/(1+x^m) over (0,1)
-F1-frac  fractional-exponent variant: value integral of dx/(1+x^(m/n))
-F2       binomial weight: integral of x^(n-1) (1+x^m)^(-mu/nu)
-F3       s + 1/(2s + 9/(2s + 25/(2s + ...))), Beta closed form
-F4-25/25alt/26/27
-         one value, several fraction shapes:
-         (p+2q-r) K(p+2q) / K(p) with K(t) the sqrt-kernel moment
-F5       r + fh/(r + (f+r)(h+r)/(r + ...)), dual integral references
-F6       2r + fh/(2r + (f+r)(h+r)/(2r + ...)); f = h+r is a separate limit
-F7       s + q(r-q)/(2s + (r+q)(2r-q)/(2s + ...)), Beta closed form
-F8       master two-factor family with weight (p + q x^r)
-F9       p = q = 1 specialization of F8 (equal partial denominators)
-F10      1/(s + 4/(s + 9/(s + 16/...))) = 1/(2 I) - s,
-         I = integral of y^s/(1+y^2)
-F11      arithmetic-progression numerators, exponential-Beta reference
-F12      beta = 0 limit of F11, Gaussian tail-moment reference
-
-plus fixed cases (log2, brouncker, e-euler, pi-half-a/b, ...) whose
-references are independently computed constants.
-
 Each family is one ``_register`` entry: its parameter names, its constraints,
-a ``TermSpec`` for the fraction and its reference function.  The constraints
+a ``TermSpec`` for the fraction and its reference function (README's table,
+or ``contfrac eval --family list``, lists the families).  The constraints
 are an ordered tuple of inequalities in Python syntax, such as
 ``("m > 0", "n > 0")``; a family's are compiled once into one expression
 and evaluated on the exact parameters, in order, and the first that fails is
@@ -42,15 +20,23 @@ the predicate a ``ConstraintViolation`` names.  The spec and the reference
 function take the parameters by name: the spec each as a constant ``Poly``,
 so its arithmetic is on integers over one denominator and ``TermSpec``
 reduces each part once, and the reference function as an exact
-``Fraction``.  A reference that needs several moments integrates them as the
-rows of one quadrature pass.  Every reference quadrature asks for the one
-accuracy ``quadrature.TARGET``, and one that does not reach it raises
+``Fraction``.  Every reference quadrature asks for the one accuracy
+``quadrature.TARGET``, and one that does not reach it raises
 ``QuadratureError``, which ``verify`` reports as ``undefined``.
+
+The power-binomial families F5, F8 and F9 are each one record function, from
+the parameters to a ``MomentRatio``: the value leading + M(g+r)/M(g), times
+q c' when scaled, with M(t) the integral of x^(t-1) (1 - x^r)^beta
+(p + q x^r)^gamma over (0, 1).  On constant ``Poly`` parameters, Euler's
+relation t p M(t) = A(t) M(t+r) + q (t + r(beta+gamma+2)) M(t+2r) turns the
+record into the spec (``moment_ratio_spec``; an unscaled ratio keeps its
+first term as a head term); on floats it gives the reference's two moments.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -143,15 +129,6 @@ class IdentityFamily:
 # family definitions
 # --------------------------------------------------------------------------
 
-def _f1_refs(m: Fraction, n: Fraction) -> Tuple[float, ...]:
-    return (reciprocal_kernel_integral(float(n), float(m)),)
-
-
-def _f1frac_refs(m: Fraction, n: Fraction) -> Tuple[float, ...]:
-    # integral of dx/(1+x^(m/n)) over (0,1)
-    return (reciprocal_kernel_integral(1.0, float(m) / float(n)),)
-
-
 def _f2_refs(mu: Fraction, nu: Fraction, m: Fraction, n: Fraction) -> Tuple[float, ...]:
     integrand = PowerBinomialIntegrand(alpha=float(n), r=float(m), beta=0.0,
                                        gamma_exp=-float(mu) / float(nu), p=1.0, q=1.0)
@@ -168,26 +145,73 @@ def _f4_refs(p: Fraction, q: Fraction, r: Fraction) -> Tuple[float, ...]:
     return ((p + 2 * q - r) * sqrt_kernel_integral(p + 2 * q, r) / sqrt_kernel_integral(p, r),)
 
 
+#: a power-binomial family at one point; see ``moment_ratio_spec``
+MomentRatio = namedtuple("MomentRatio", "g r beta gamma p q leading scaled")
+
+
+def moment_ratio_spec(m: MomentRatio) -> TermSpec:
+    """The fraction ``leading`` + M(g+r)/M(g) of a record, times q c' when
+    ``scaled``, with c' = g + r(beta+gamma+1) and M(t) the integral over
+    (0, 1) of x^(t-1) (1 - x^r)^beta (p + q x^r)^gamma.
+
+    Integrating d/dx [x^t (1 - x^r)^(beta+1) (p + q x^r)^(gamma+1)] over
+    (0, 1), whose boundary terms vanish for t > 0 and beta > -1, gives
+
+        t p M(t) = A(t) M(t+r) + q (t + r(beta+gamma+2)) M(t+2r),
+        A(t) = t(p - q) + r(beta+1) p - r(gamma+1) q,
+
+    so M(g+r)/M(g) = g p/(a_1 + b_2/(a_2 + ...)) with a_k = A(g + (k-1) r)
+    and b_k = p q (g + (k-1) r)(c' + (k-1) r).  By Pincherle's theorem the
+    fraction converges to the ratio exactly when M(g + k r) is the relation's
+    minimal solution (Jones & Thron 1980, ch. 4; Gautschi, SIAM Review 9,
+    1967).  b(1) = p q g c', so a scaled ratio takes every term from the
+    polynomials, and an unscaled one keeps (g p, A(g)) as a head term."""
+    g, r, p, q = m.g, m.r, m.p, m.q
+    rb, rc = r * m.beta + r, r * m.gamma + r  # r(beta+1), r(gamma+1)
+    d, w = p - q, rb * p - rc * q  # A(t) = t d + w
+    t = g + (K - 1) * r
+    head = [] if m.scaled else [(g * p, g * d + w)]
+    return TermSpec(m.leading, head, p * q * t * (t + (rb + rc - r)), t * d + w)
+
+
+def _moments(*records: MomentRatio) -> list[float]:
+    """M(g+r) and M(g) of each record of floats, all rows of one quadrature pass."""
+    return power_binomial_integrals([PowerBinomialIntegrand(t, m.r, m.beta, m.gamma, m.p, m.q)
+                                     for m in records for t in (m.g + m.r, m.g)])
+
+
+def _record_family(record: Callable[..., MomentRatio], combine: Callable[..., float]):
+    """A family's spec and reference functions from its record function; the
+    reference is ``combine(M(g+r), M(g), **params)`` at float parameters."""
+    def refs(**P: Fraction) -> Tuple[float, ...]:
+        P = {k: float(v) for k, v in P.items()}
+        return (combine(*_moments(record(**P)), **P),)
+    return lambda **P: moment_ratio_spec(record(**P)), refs
+
+
+def _f5_record(f, h, r) -> MomentRatio:
+    """r + h M(f+r)/M(f), weight (1 - x^r)^e (1 + x^r)^(e-1), e = (h - f)/(2r).
+    The spec is symmetric in f and h; the moments need f <= h."""
+    beta = (h - f) / (2 * r)
+    return MomentRatio(f, r, beta, beta - 1, 1, 1, r, True)
+
+
+def _f8_record(a, b, c, r, p, q) -> MomentRatio:
+    """M(g+r)/M(g), g = a + b - c - r, beta = (c - b)/r, gamma = (c - a)/r."""
+    return MomentRatio(a + b - c - r, r, (c - b) / r, (c - a) / r, p, q, 0, False)
+
+
+def _f9_record(c, g, r, s) -> MomentRatio:
+    """F8 at p = q = 1 and a, b = (c + g + r +- s)/2, scaled by c' = c."""
+    u = c + g + r
+    return MomentRatio(*_f8_record((u + s) / 2, (u - s) / 2, c, r, 1, 1)[:7], True)
+
+
 def _sqrt_moment_ratio_value(f: float, h: float, r: float) -> float:
     """Two-moment expression for the equal-denominator product family."""
     kf = sqrt_kernel_integral(f + r, r)
     kh = sqrt_kernel_integral(h + r, r)
     return (h * (f - r) * kh - f * (h - r) * kf) / (f * kf - h * kh)
-
-
-def _half_power_ratio_value(f: float, h: float, r: float) -> float:
-    """Independent reference: r + h J(f+r)/J(f) with the mixed kernel
-
-    J(t) = integral of y^(t-1) (1-y^(2r))^((h-f)/(2r)) / (1+y^r) dy.
-    The fraction is symmetric in f and h, so arguments are swapped to keep
-    the binomial exponent nonnegative.
-    """
-    lo, hi = min(f, h), max(f, h)
-    e = (hi - lo) / (2.0 * r)
-    top, bottom = power_binomial_integrals([
-        PowerBinomialIntegrand(alpha=t, r=r, beta=e, gamma_exp=e - 1.0, p=1.0, q=1.0)
-        for t in (lo + r, lo)])
-    return r + hi * top / bottom
 
 
 def _f5_refs(f: Fraction, h: Fraction, r: Fraction) -> Tuple[float, ...]:
@@ -196,7 +220,9 @@ def _f5_refs(f: Fraction, h: Fraction, r: Fraction) -> Tuple[float, ...]:
     if equal:
         i = reciprocal_kernel_integral(h, r)
         return ((1.0 - (h - r) * i) / i,)
-    return (_sqrt_moment_ratio_value(f, h, r), _half_power_ratio_value(f, h, r))
+    lo, hi = min(f, h), max(f, h)
+    top, bottom = _moments(_f5_record(lo, hi, r))
+    return (_sqrt_moment_ratio_value(f, h, r), r + hi * top / bottom)
 
 
 def _f6_refs(f: Fraction, h: Fraction, r: Fraction) -> Tuple[float, ...]:
@@ -220,37 +246,6 @@ def _f7_ref_value(q: float, r: float, s: float) -> float:
     return (q + s) * sqrt_kernel_integral(q + r + s, r) / sqrt_kernel_integral(r + s - q, r)
 
 
-def _f7_refs(q: Fraction, r: Fraction, s: Fraction) -> Tuple[float, ...]:
-    return (_f7_ref_value(float(q), float(r), float(s)),)
-
-
-def _f8_moments(a: float, b: float, c: float, r: float, p: float,
-                q: float) -> list[PowerBinomialIntegrand]:
-    """I(g+r) and I(g), g = a+b-c-r, with I(t) the integral of
-    x^(t-1)(1-x^r)^((c-b)/r)(p+q x^r)^((c-a)/r)."""
-    g = a + b - c - r
-    return [PowerBinomialIntegrand(alpha=t, r=r, beta=(c - b) / r, gamma_exp=(c - a) / r,
-                                   p=p, q=q) for t in (g + r, g)]
-
-
-def _f8_moment_ratio(a: float, b: float, c: float, r: float, p: float, q: float) -> float:
-    """I(g+r)/I(g), the two moments of ``_f8_moments`` in one pass."""
-    top, bottom = power_binomial_integrals(_f8_moments(a, b, c, r, p, q))
-    return top / bottom
-
-
-def _f8_refs(a: Fraction, b: Fraction, c: Fraction, r: Fraction, p: Fraction,
-             q: Fraction) -> Tuple[float, ...]:
-    return (_f8_moment_ratio(*(float(x) for x in (a, b, c, r, p, q))),)
-
-
-def _f9_refs(c: Fraction, g: Fraction, r: Fraction, s: Fraction) -> Tuple[float, ...]:
-    c, g, r, s = float(c), float(g), float(r), float(s)
-    a = (c + g + r + s) / 2.0
-    b = (c + g + r - s) / 2.0
-    return (c * _f8_moment_ratio(a, b, c, r, 1.0, 1.0),)
-
-
 def _f10_refs(s: Fraction) -> Tuple[float, ...]:
     s = float(s)
     return (1.0 / (2.0 * reciprocal_kernel_integral(s + 1.0, 2.0)) - s,)
@@ -270,15 +265,14 @@ def _f12_refs(a: Fraction, alpha: Fraction, b: Fraction) -> Tuple[float, ...]:
     return (top / bottom,)
 
 
-_GOLDEN_P = (math.sqrt(5.0) + 1.0) / 2.0
-_GOLDEN_Q = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def _golden_refs() -> Tuple[float, ...]:
-    a = (1.0 + 3.0 * math.sqrt(5.0)) / (2.0 * math.sqrt(5.0))
-    b = (3.0 * math.sqrt(5.0) - 1.0) / (2.0 * math.sqrt(5.0))
-    ratio = _f8_moment_ratio(a, b, 1.0, 1.0, _GOLDEN_P, _GOLDEN_Q)
-    return (1.0 + ratio / _GOLDEN_P,)
+    # golden's fraction is this record with leading 1, scaled by q c' = 1/p,
+    # over Q(sqrt 5); its spec is written out below
+    root5 = math.sqrt(5.0)
+    p, q = (root5 + 1.0) / 2.0, (root5 - 1.0) / 2.0
+    a, b = (1.0 + 3.0 * root5) / (2.0 * root5), (3.0 * root5 - 1.0) / (2.0 * root5)
+    top, bottom = _moments(_f8_record(a, b, 1, 1, p, q))
+    return (1.0 + top / bottom / p,)
 
 
 FAMILIES: dict[str, IdentityFamily] = {}
@@ -308,10 +302,10 @@ _F5_CONSTRAINTS = ("f > 0", "h > 0", "r > 0")
 
 _register("F1", ("m", "n"), "x^(n-1)/(1+x^m) moment as an equal-denominator fraction",
           ("m > 0", "n > 0"), lambda m, n: TermSpec(0, [(1, n)], ((K - 2) * m + n) ** 2, m),
-          _f1_refs)
+          lambda m, n: (reciprocal_kernel_integral(float(n), float(m)),))
 _register("F1-frac", ("m", "n"), "fractional-exponent variant: dx/(1+x^(m/n))",
           ("m > 0", "n > 0"), lambda m, n: TermSpec(0, [(1, 1), (n, m)], ((K - 2) * m + n) ** 2, m),
-          _f1frac_refs)
+          lambda m, n: (reciprocal_kernel_integral(1.0, float(m) / float(n)),))
 # mu/nu >= 2 loses the positivity certificate; integer mu with nu=1
 # oscillates divergently
 _register("F2", ("mu", "nu", "m", "n"), "binomial weight x^(n-1)(1+x^m)^(-mu/nu)",
@@ -345,8 +339,7 @@ _register("F4-27", ("p", "q", "r"), "signed interpolation form (first numerator 
           _f4_refs)
 _register("F5", ("f", "h", "r"), "r + fh/(r + (f+r)(h+r)/(r + ...)), dual references",
           _F5_CONSTRAINTS,
-          lambda f, h, r: TermSpec(r, [], (f + (K - 1) * r) * (h + (K - 1) * r), r),
-          _f5_refs)
+          lambda **P: moment_ratio_spec(_f5_record(**P)), _f5_refs)
 _register("F6", ("f", "h", "r"), "2r + fh/(2r + ...); f = h + r handled as a limit",
           _F5_CONSTRAINTS,
           lambda f, h, r: TermSpec(2 * r, [], (f + (K - 1) * r) * (h + (K - 1) * r), 2 * r),
@@ -354,18 +347,13 @@ _register("F6", ("f", "h", "r"), "2r + fh/(2r + ...); f = h + r handled as a lim
 _register("F7", ("q", "r", "s"), "s + q(r-q)/(2s + (r+q)(2r-q)/(2s + ...))",
           ("q > 0", "r > 0", "s > 0", "q < r + s"),
           lambda q, r, s: TermSpec(s, [], ((K - 1) * r + q) * (K * r - q), 2 * s),
-          _f7_refs)
+          lambda q, r, s: (_f7_ref_value(float(q), float(r), float(s)),))
 _register("F8", ("a", "b", "c", "r", "p", "q"), "master family with weight (p + q x^r)",
           ("r > 0", "p > 0", "p + q > 0", "a + b - c - r > 0", "c - b + r > 0"),
-          lambda a, b, c, r, p, q: TermSpec(
-              0, [(p * (a + b - c - r), a * p - b * q)],
-              p * q * (c + (K - 1) * r) * (a + b - c + (K - 2) * r),
-              (a + (K - 1) * r) * p - (b + (K - 1) * r) * q),
-          _f8_refs)
+          *_record_family(_f8_record, lambda top, bottom, **P: top / bottom))
 _register("F9", ("c", "g", "r", "s"), "p = q = 1 specialization: equal partial denominators",
           ("c > 0", "g > 0", "r > 0", "s > 0", "c - g + r + s > 0"),
-          lambda c, g, r, s: TermSpec(0, [], (c + (K - 1) * r) * (g + (K - 1) * r), s),
-          _f9_refs)
+          *_record_family(_f9_record, lambda top, bottom, c, **P: c * (top / bottom)))
 _register("F10", ("s",), "1/(s + 4/(s + 9/(s + 16/...))) vs arctangent moment",
           ("s > 0",), lambda s: TermSpec(0, [], K * K, s), _f10_refs)
 _register("F11", ("a", "alpha", "b", "beta"), "arithmetic numerators a, a+alpha, a+2 alpha, ...",
@@ -621,7 +609,7 @@ def permutation_theorem_check(a: float, b: float, c: float, r: float,
     if c <= 0 or a - c <= 0:
         raise ValueError("c-side integrability violated")
     # the g side's two moments, then the c side's: c and g swapped, I(c+r) and I(c)
-    i = power_binomial_integrals(_f8_moments(a, b, c, r, p, q) + _f8_moments(a, b, g, r, p, q))
+    i = _moments(_f8_record(a, b, c, r, p, q), _f8_record(a, b, g, r, p, q))
     return abs(c * (i[0] / i[1]) - g * (i[2] / i[3]))
 
 

@@ -232,6 +232,15 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        """Division by a nonzero rational or constant ``Poly``."""
+        o = Poly.lift(other).normal()
+        (n,) = o.ints  # a constant
+        if not n:
+            raise ZeroDivisionError("Poly division by zero")
+        s = o.den if n > 0 else -o.den  # the denominator stays positive
+        return Poly(tuple([c * s for c in self.ints]), self.den * abs(n))
+
     def __pow__(self, n: int):
         if n < 1:
             return Poly((1,))
@@ -425,7 +434,7 @@ class ContinuedFraction:
         return self.factory()
 
     def take(self, k: int) -> list[PartialTerm]:
-        return list(itertools.islice(self.terms(), k))
+        return list(itertools.islice(self.terms(), min(k, sys.maxsize)))
 
     @staticmethod
     def from_rule(leading: Rational, rule: TermRule) -> "ContinuedFraction":
@@ -544,7 +553,7 @@ def convergent_sequence(cf: ContinuedFraction, k: int) -> list[Convergent]:
     """First ``k`` exact convergents (fewer if the fraction is finite)."""
     if k < 1:
         raise ValueError("k must be positive")
-    return list(itertools.islice(convergent_iter(cf), k))
+    return list(itertools.islice(convergent_iter(cf), min(k, sys.maxsize)))
 
 
 def euler_series_expansion(cf: ContinuedFraction, k: int) -> list[Fraction]:
@@ -564,7 +573,7 @@ def euler_series_expansion(cf: ContinuedFraction, k: int) -> list[Fraction]:
         raise ValueError("k must be positive")
     out: list[Fraction] = []
     v_prev = cf.leading
-    for c in itertools.islice(convergent_iter(cf), k):
+    for c in itertools.islice(convergent_iter(cf), min(k, sys.maxsize)):
         if not c.defined:
             raise ZeroContinuantError(c.index, out)
         v = c.value

@@ -25,6 +25,7 @@ with ``ZeroPivotError``; the terms made before it stand as a partial result.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, Tuple
@@ -81,7 +82,7 @@ class SeriesSpec:
     def terms(self, k: int) -> list[Fraction]:
         """First k signed terms."""
         return [n / d if j % 2 == 0 else -n / d
-                for j, (n, d) in enumerate(itertools.islice(self.pairs(), k))]
+                for j, (n, d) in enumerate(itertools.islice(self.pairs(), min(k, sys.maxsize)))]
 
     def partial_sums(self, k: int) -> list[Fraction]:
         sums, acc = [], Fraction(0)

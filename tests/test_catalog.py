@@ -6,6 +6,8 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contfrac import catalog, quadrature
 from contfrac.catalog import (
@@ -22,9 +24,10 @@ from contfrac.catalog import (
     reference_value,
     verify,
 )
-from contfrac.core import (ContinuedFractionError, EvalReport, EvalStatus, PositivityClass,
-                           eval_float, positivity_class)
-from contfrac.quadrature import beta, sqrt_kernel_integral
+from contfrac.core import (ContinuedFractionError, EvalReport, EvalStatus, K, PositivityClass,
+                           Poly, eval_float, positivity_class)
+from contfrac.quadrature import (TARGET, PowerBinomialIntegrand, beta, power_binomial_integrals,
+                                 sqrt_kernel_integral)
 
 
 def terms_of(family, params, k):
@@ -327,6 +330,24 @@ def test_verdict_branches_in_order(rep, refs, tol, status, detail):
     assert catalog._verdict(rep, refs, tol) == (status, detail)
 
 
+# each boundary of catalog._verdict, hit exactly: every comparison there is
+# inclusive, so a value on the boundary passes
+@pytest.mark.parametrize("rep, refs, tol", [
+    # a bracket exactly tol wide
+    (EvalReport(1.0, 0.5, 1.0, 2, _CONVERGED), (0.75,), 0.5),
+    # a settled value exactly tol from the reference, with no bracket
+    (EvalReport(1.0, None, None, 2, _CONVERGED), (0.75,), 0.25),
+    # dual references exactly DUAL_AGREEMENT apart
+    (EvalReport(0.0, None, None, 2, _CONVERGED), (0.0, catalog.DUAL_AGREEMENT), 0.5),
+    # a reference exactly on the slackened lower and upper bracket ends;
+    # |reference| < 1, so the slack is 1e-12
+    (EvalReport(0.625, 0.5, 0.75, 2, _CONVERGED), (0.5 - 1e-12,), 0.5),
+    (EvalReport(0.625, 0.5, 0.75, 2, _CONVERGED), (0.75 + 1e-12,), 0.5),
+], ids=["bracket-width", "settled-difference", "dual-agreement", "slack-lower", "slack-upper"])
+def test_verdict_boundaries_pass(rep, refs, tol):
+    assert catalog._verdict(rep, refs, tol) == (VerifyStatus.PASS, "")
+
+
 def test_verify_f2_mu3_is_divergent():
     rep = verify(IdentityCase("F2", {"mu": F(3), "nu": F(1), "m": F(1), "n": F(1)},
                               1e-6, 10 ** 5))
@@ -410,6 +431,86 @@ def test_make_cf_constraint_violation_names_predicate():
     with pytest.raises(ConstraintViolation) as exc_info:
         make_cf("F7", {"q": 5, "r": 1, "s": 1})
     assert "q < r + s" in str(exc_info.value)
+
+
+# ------------------------------------------------------------ power-binomial records
+
+#: a positive rational on a grid of twelfths, at least 1/4
+_POSITIVE = st.integers(3, 72).map(lambda n: F(n, 12))
+
+
+@st.composite
+def record_points(draw):
+    """A family with a record function and an in-constraint point of it,
+    built from positive parts so that every constraint holds."""
+    family = draw(st.sampled_from(["F5", "F8", "F9"]))
+    x = lambda: draw(_POSITIVE)  # noqa: E731
+    if family == "F5":
+        P = {"f": x(), "h": x(), "r": x()}
+    elif family == "F8":
+        r, p, c, g = x(), x(), x(), x()
+        b = c + r - x()  # c - b + r > 0
+        P = {"a": g + c + r - b, "b": b, "c": c, "r": r, "p": p, "q": x() - p}
+    else:
+        c, g, r = x(), x(), x()
+        P = {"c": c, "g": g, "r": r, "s": max(x(), g - c - r + F(1, 12))}
+    assert catalog.get_family(family).check(P) is None
+    return family, P
+
+
+_RECORDS = {"F5": catalog._f5_record, "F8": catalog._f8_record, "F9": catalog._f9_record}
+
+
+def _constant(c):
+    c = Poly.lift(c).normal()
+    assert len(c.ints) == 1
+    return F(c.ints[0], c.den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_points())
+def test_record_specs_satisfy_the_moment_recurrence(point):
+    # t p M(t) = A(t) M(t+r) + q (t + r(beta+gamma+2)) M(t+2r), written out
+    # here on its own, against the spec a family builds from its record
+    family, P = point
+    m = _RECORDS[family](**{k: catalog._lift(v) for k, v in P.items()})
+    g, r, beta_, gamma, p, q = m.g, m.r, m.beta, m.gamma, m.p, m.q
+
+    def A(t):
+        return t * (p - q) + r * (beta_ + 1) * p - r * (gamma + 1) * q
+
+    def next_coefficient(t):
+        return q * (t + r * (beta_ + gamma + 2))
+
+    spec = make_cf(family, P).spec
+    assert spec == catalog.moment_ratio_spec(m)
+    t = g + (K - 1) * r
+    # a_k = A(t_k) and b_k = q (t_{k-1} + r(beta+gamma+2)) p t_k past the first term
+    assert spec.a == A(t) and spec.b == next_coefficient(t - r) * p * t
+    assert spec.leading == _constant(m.leading)
+    first = next(spec.exact_terms())
+    # b_1 = g p, times q c' when scaled, where c' = g + r(beta+gamma+1)
+    scale = q * (g + r * (beta_ + gamma + 1)) if m.scaled else 1
+    assert first == (_constant(scale * g * p), _constant(A(g)))
+    assert len(spec.head) == (0 if m.scaled else 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(record_points())
+def test_record_moments_satisfy_the_moment_recurrence(point):
+    family, P = point
+    if family == "F5":  # the fraction is symmetric in f and h; the moments need f <= h
+        P = dict(P, f=min(P["f"], P["h"]), h=max(P["f"], P["h"]))
+    m = _RECORDS[family](**{k: float(v) for k, v in P.items()})
+    t, r, beta_, gamma, p, q = m.g, m.r, m.beta, m.gamma, m.p, m.q
+    moments = power_binomial_integrals([PowerBinomialIntegrand(t + j * r, r, beta_, gamma, p, q)
+                                        for j in range(3)])
+    terms = [t * p * moments[0],
+             -(t * (p - q) + r * (beta_ + 1) * p - r * (gamma + 1) * q) * moments[1],
+             -q * (t + r * (beta_ + gamma + 2)) * moments[2]]
+    # each moment is within TARGET * max(1, |M|) of its value
+    bound = TARGET * sum(abs(x) / min(1.0, abs(y)) for x, y in zip(terms, moments))
+    assert abs(sum(terms)) <= bound, (family, P, terms)
 
 
 # ------------------------------------------------------------ constraints

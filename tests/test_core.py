@@ -26,6 +26,7 @@ from contfrac.core import (
     even_contraction,
     positivity_class,
 )
+from contfrac.series import SeriesSpec
 from conftest import rand_fraction, random_positive_cf
 from test_termspec import generic
 
@@ -252,6 +253,26 @@ def test_eval_reports_why_it_stopped(forms, tol, n, stop, status):
     reports = [eval_float(cf, tol, n) for cf in forms]
     assert (reports[0].stop, reports[0].status) == (stop, status)
     assert all(rep == reports[0] for rep in reports)
+
+
+# convergents 1, 1/2, 2/3, 3/5, ...: a difference of exactly -tol (at term 2)
+# or +tol (at term 3, with tol = 2/3 - 1/2 in floats) is a bracket within tol
+@pytest.mark.parametrize("tol, terms", [(0.5, 2), (2 / 3 - 0.5, 3)], ids=["minus-tol", "plus-tol"])
+def test_a_difference_of_exactly_tol_stops_on_the_bracket(tol, terms):
+    rep = eval_float(ContinuedFraction.from_pairs(0, [(1, 1)] * 10), tol, 100)
+    assert (rep.stop, rep.terms_used) == (EvalStop.BRACKET, terms)
+
+
+def test_counts_above_sys_maxsize_read_a_finite_fraction_to_its_end():
+    # a count no loop can reach, which itertools.islice refuses, reads as
+    # sys.maxsize, as eval_float reads its budget
+    cf = ContinuedFraction.from_pairs(0, [(1, 1)] * 3)
+    k = sys.maxsize + 1
+    assert cf.take(k) == cf.take(3) == [(1, 1)] * 3
+    assert [c.value for c in convergent_sequence(cf, k)] == [1, F(1, 2), F(2, 3)]
+    assert euler_series_expansion(cf, k) == euler_series_expansion(cf, 3)
+    series = SeriesSpec.from_lists([1, 1, 1], [1, 2, 3])
+    assert series.terms(k) == series.terms(3) == [1, F(-1, 2), F(1, 3)]
 
 
 @settings(max_examples=150, deadline=None)

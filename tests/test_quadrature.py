@@ -267,9 +267,15 @@ def test_rows_stop_at_their_own_levels_and_take_their_own_exponents():
     integrands = [PowerBinomialIntegrand(2.5, 1.0, 0.5, -1.5, 1.0, 0.5),
                   PowerBinomialIntegrand(0.3, 1.0, -0.9, 0.0, 1.0, 0.5),
                   PowerBinomialIntegrand(4.0, 1.0, 0.0, 0.75, 1.0, 0.5)]
-    rows = de_rows(_power_binomial_rows(integrands), 3)
-    assert rows == [de_integral(f) for f in integrands]
-    assert len({r.levels_used for r in rows}) > 1
+    # rows of one kind, one stopping at level 4 and one running on to the
+    # level cap (unconverged): later calls evaluate the live row's column alone
+    one_kind = [PowerBinomialIntegrand(0.01, 1, 0.5, -2, 1, 0.5),
+                PowerBinomialIntegrand(6, 1, 3, 2, 1, 0.5)]
+    for rows_in, levels in ((integrands, None), (one_kind, [12, 4])):
+        rows = de_rows(_power_binomial_rows(rows_in), len(rows_in))
+        assert rows == [de_integral(f) for f in rows_in]
+        assert len({r.levels_used for r in rows}) > 1
+        assert levels is None or [r.levels_used for r in rows] == levels
     assert power_binomial_integrals(integrands) == [f.integral() for f in integrands]
     with pytest.raises(ValueError, match="share r, p and q"):
         power_binomial_integrals([integrands[0], PowerBinomialIntegrand(1.0, 2.0, 0.0)])

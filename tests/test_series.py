@@ -178,6 +178,10 @@ def test_gauss_lemma_closed_forms():
     assert abs(partial - closed) < 1e-3
 
 
+def test_gauss_lemma_one_term_is_the_leading_one():
+    assert gauss_sum_check(GaussLemmaParams(1, 2, 1), 1) == (1.0, 2.0)
+
+
 def test_gauss_lemma_fast_decay_reaches_tight_gap():
     partial, closed = gauss_sum_check(GaussLemmaParams(1, 4, 1), 2000)
     assert abs(partial - closed) <= 1e-6

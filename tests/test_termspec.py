@@ -57,6 +57,13 @@ def test_poly_arithmetic_and_normal_form():
     assert (F(3, 2) + (K - 1)) * (F(5, 2) + (K - 1)) == Poly((4, 8, 3), 4)
     assert 2 * K - 2 * K == Poly((0,))
     assert (K * F(2, 4)).den == 2 and (K - 3) * -1 == 3 - K
+    # division by a nonzero constant; the denominator stays positive
+    assert (K + 1) / F(-2, 3) == Poly((-3, -3), 2) and ((K + 1) / Poly((-2,), 3)).den > 0
+    assert K / 2 == K * F(1, 2) and (K - 1) / (K - K + 1) == K - 1
+    with pytest.raises(ZeroDivisionError):
+        K / 0
+    with pytest.raises(ValueError):
+        K / K
 
 
 # ------------------------------------------------------------ golden terms
